@@ -16,6 +16,7 @@ from .approx import (
     extremal_function_f1,
     greedy_order,
     greedy_remainder_sp,
+    greedy_remainders_sp,
     sp_norm,
 )
 from .functionals import (
@@ -89,6 +90,7 @@ __all__ = [
     "fit_growth_bounds",
     "greedy_order",
     "greedy_remainder_sp",
+    "greedy_remainders_sp",
     "h_functional",
     "hausdorff_young_gap",
     "is_exact_quadrature",

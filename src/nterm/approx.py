@@ -123,22 +123,31 @@ def greedy_order(f: CoefficientSequence) -> list:
     )
 
 
+def greedy_remainders_sp(f: CoefficientSequence, ns, p: float) -> list[float]:
+    """Greedy n-term errors in the p-coefficient norm for each n in ns.
+
+    The greedy approximant keeps the n largest amplitudes, and ties
+    among equal amplitudes leave the error unchanged, so one descending
+    sort of the amplitudes serves every n: the error at n is
+    ``(sum of |c_k|^p past the n largest)^(1/p)``, summed in the same
+    order as the entries of :func:`greedy_order`.
+    """
+    ns = [int(n) for n in ns]
+    if any(n < 0 for n in ns):
+        raise ValueError(f"need n >= 0, got n={min(ns)}")
+    if not p > 0:
+        raise ValueError(f"need p > 0, got p={p}")
+    amps = -np.sort(-np.array([abs(v) for v in f.entries.values()], dtype=np.float64))
+    return [float(np.sum(amps[n:] ** p) ** (1.0 / p)) for n in ns]
+
+
 def greedy_remainder_sp(f: CoefficientSequence, n: int, p: float) -> float:
     """Error of the n-term greedy approximant in the p-coefficient norm.
 
     Equal to the exact best n-term (and best orthogonal n-term) error
     in this norm.
     """
-    if n < 0:
-        raise ValueError(f"need n >= 0, got n={n}")
-    if not p > 0:
-        raise ValueError(f"need p > 0, got p={p}")
-    order = greedy_order(f)
-    rest = order[n:]
-    if not rest:
-        return 0.0
-    amps = np.array([abs(f.entries[k]) for k in rest])
-    return float(np.sum(amps**p) ** (1.0 / p))
+    return greedy_remainders_sp(f, [n], p)[0]
 
 
 def class_best_nterm_sp(

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lattice, rates, trig_lp, weights
-from .approx import CoefficientSequence, FunctionClassSpec, class_best_nterm_sp, greedy_order, greedy_remainder_sp
+from .approx import CoefficientSequence, FunctionClassSpec, class_best_nterm_sp, greedy_order, greedy_remainders_sp
 from .functionals import DivergentTailError, NoThresholdError, h_functional
 from .lattice import BudgetExceededError
 from .trig_lp import GridSpec
@@ -326,7 +326,8 @@ def _cmd_greedy(args, cfg: RunConfig) -> int:
             f = CoefficientSequence.from_json(fh.read())
     except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         raise CliValidationError(f"cannot read coefficient file {args.infile}: {exc}")
-    rows = [(n, greedy_remainder_sp(f, n, args.p)) for n in _as_int_list(args.n)]
+    ns = _as_int_list(args.n)
+    rows = list(zip(ns, greedy_remainders_sp(f, ns, args.p)))
     order = greedy_order(f)
     buf = ["n,remainder"] + [f"{n},{v:.17g}" for n, v in rows]
     csv_text = "\n".join(buf) + "\n"

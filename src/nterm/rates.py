@@ -181,17 +181,18 @@ def ratio_window(table: RateTable) -> tuple[float, float]:
     return float(np.min(r)), float(np.max(r))
 
 
-def _greedy_witness_error(n: int, q: float, p: float, psi: WeightFunction, grid_n_factor: int = 8) -> float:
+def _greedy_witness_error(n: int, q: float, p: float, psi: WeightFunction, d: int,
+                          grid_n_factor: int = 8) -> float:
     """L_p error of the n-term greedy approximant of the equal-coefficient
-    witness (d = 1): the amplitude times the norm of the leftover
+    witness on Z^d: the amplitude times the norm of the leftover
     exponential sum."""
-    f = extremal_function_f1(n, q, psi, 1)
+    f = extremal_function_f1(n, q, psi, d)
     order = greedy_order(f)
     rest = order[n:]
     amp = abs(next(iter(f.entries.values())))
     kmax = max(max(abs(c) for c in k) for k in f.entries)
     N = grid_n_factor * max(kmax, 1) + 1
-    g = GridSpec(d=1, N=N)
+    g = GridSpec(d=d, N=N)
     return amp * trig_lp.exponential_sum_norm(rest, p, g, cube_scale=None)
 
 
@@ -214,9 +215,10 @@ def rate_table(
     quantity 'class_sp' computes the exact class best n-term error
     (needs q, p; default tag assertion41); 'h_functional' computes
     H_n(rearranged psi, s) (needs s; default tag lemma41);
-    'greedy_lp_witness' computes the witness greedy L_p error at d = 1
-    (needs q, p; default tag thm31_p_ge_2).  Rows are independent and
-    evaluated concurrently when threads > 1.
+    'greedy_lp_witness' computes the greedy L_p error of the
+    equal-coefficient witness on Z^d (needs q, p; default tag
+    thm31_p_ge_2).  Rows are independent and evaluated concurrently
+    when threads > 1.
     """
     if quantity not in QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}, expected one of {QUANTITIES}")
@@ -246,12 +248,10 @@ def rate_table(
     else:
         if q is None or p is None:
             raise ValueError("greedy_lp_witness needs q and p")
-        if d != 1:
-            raise ValueError("greedy_lp_witness is implemented for d = 1")
         theorem = theorem or "thm31_p_ge_2"
 
         def compute(n):
-            return _greedy_witness_error(int(n), q, p, psi)
+            return _greedy_witness_error(int(n), q, p, psi, d)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

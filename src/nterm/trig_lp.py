@@ -1,7 +1,11 @@
 """Evaluation of trigonometric polynomials and L_p norms on the torus.
 
-Values are computed by direct summation of ``sum_k c_k e^{i(k, x)}`` on
-the uniform grid ``x_j = 2 pi j / N`` per coordinate, and L_p norms by
+Values of ``sum_k c_k e^{i(k, x)}`` on the uniform grid
+``x_j = 2 pi j / N`` per coordinate come from one scatter and one
+inverse FFT: each ``c_k`` is added to the DFT bin ``k mod N`` (aliased
+frequencies agree on the grid, so their coefficients add up), and the
+unnormalized inverse DFT of the bins is the polynomial at every grid
+point, in O(N^d log N^d) time for any number of terms.  L_p norms use
 the rectangle rule ``((1/N^d) sum |f(x_j)|^p)^(1/p)``, normalized so a
 single exponential has norm 1 for every p.
 
@@ -63,6 +67,12 @@ def max_abs_frequency(f: CoefficientSequence) -> int:
 def evaluate_on_grid(f: CoefficientSequence, g: GridSpec, budget: int | None = None) -> np.ndarray:
     """Sample the polynomial on the grid; shape (N,) * d, complex.
 
+    Scatters each coefficient to bin ``k mod N`` of an (N,) * d array and
+    returns its unnormalized inverse FFT, which equals the direct sum at
+    every grid point up to rounding.  Memory is the N^d complex bin
+    array plus the FFT's output and scratch; the budget check runs before
+    any of it is allocated.
+
     Raises
     ------
     BudgetExceededError
@@ -75,43 +85,15 @@ def evaluate_on_grid(f: CoefficientSequence, g: GridSpec, budget: int | None = N
     limit = grid_budget(budget)
     if g.total_points > limit:
         raise BudgetExceededError(f"grid needs {g.total_points} points, budget is {limit}")
+    C = np.zeros((g.N,) * g.d, dtype=np.complex128)
     if not f.entries:
-        return np.zeros((g.N,) * g.d, dtype=np.complex128)
-    j = np.arange(g.N, dtype=np.float64)
-
-    def basis(ks: np.ndarray) -> np.ndarray:
-        # e^{2 pi i j k / N} with the phase reduced mod 1 before exp
-        frac = np.mod(np.outer(j, ks.astype(np.float64)) / g.N, 1.0)
-        return np.exp(2j * np.pi * frac)
-
-    if g.d == 1:
-        ks = np.array(sorted(k[0] for k in f.entries), dtype=np.int64)
-        amps = np.array([f.entries[(int(k),)] for k in ks])
-        out = np.empty(g.N, dtype=np.complex128)
-        step = max(1, (1 << 21) // max(len(ks), 1))
-        for lo in range(0, g.N, step):
-            sub = np.mod(np.outer(j[lo : lo + step], ks.astype(np.float64)) / g.N, 1.0)
-            out[lo : lo + step] = np.exp(2j * np.pi * sub) @ amps
-        return out
-    if g.d == 2:
-        k1s = np.array(sorted({k[0] for k in f.entries}), dtype=np.int64)
-        k2s = np.array(sorted({k[1] for k in f.entries}), dtype=np.int64)
-        A = np.zeros((len(k1s), len(k2s)), dtype=np.complex128)
-        i1 = {int(k): i for i, k in enumerate(k1s)}
-        i2 = {int(k): i for i, k in enumerate(k2s)}
-        for (a, b), v in f.entries.items():
-            A[i1[a], i2[b]] += v
-        return basis(k1s) @ A @ basis(k2s).T
-    phase = np.exp(2j * np.pi * j / g.N)
-    out = np.zeros((g.N,) * g.d, dtype=np.complex128)
-    for k, v in sorted(f.entries.items()):
-        term = np.asarray(v, dtype=np.complex128)
-        for axis, kc in enumerate(k):
-            shape = [1] * g.d
-            shape[axis] = g.N
-            term = term * (phase**kc).reshape(shape)
-        out += term
-    return out
+        return C
+    # frequencies congruent mod N meet the same grid values, so their
+    # coefficients add up in one DFT bin; Python ints keep k mod N exact
+    bins = np.array([[c % g.N for c in k] for k in f.entries], dtype=np.intp)
+    np.add.at(C, tuple(bins.T), np.fromiter(f.entries.values(), dtype=np.complex128, count=len(f.entries)))
+    # unnormalized inverse DFT: sum_m C[m] e^{2 pi i (m, j) / N}
+    return np.fft.ifftn(C, norm="forward")
 
 
 def lp_norm(f: CoefficientSequence, p: float, g: GridSpec, budget: int | None = None) -> float:

@@ -15,6 +15,7 @@ from nterm.approx import (
     extremal_function_f1,
     greedy_order,
     greedy_remainder_sp,
+    greedy_remainders_sp,
     sp_norm,
 )
 from nterm.functionals import DivergentTailError, h_functional
@@ -88,6 +89,22 @@ def test_greedy_remainder_frozen():
         greedy_remainder_sp(f, -1, 2.0)
     with pytest.raises(ValueError):
         greedy_remainder_sp(f, 1, -2.0)
+
+
+def test_greedy_remainders_match_greedy_order_sums():
+    # one amplitude sort reproduces the sums in greedy order bit for bit
+    rng = np.random.default_rng(29)
+    keys = [(int(a), int(b)) for a, b in rng.integers(-9, 10, size=(40, 2))]
+    amps = rng.choice([0.5, 1.0, 2.0], size=40) * np.exp(2j * np.pi * rng.random(40))
+    f = CoefficientSequence(d=2, entries=dict(zip(keys, amps)))
+    ns = [0, 3, 10, len(f.entries), len(f.entries) + 5]
+    ordered = np.array([abs(f.entries[k]) for k in greedy_order(f)])
+    for p in (0.5, 1.0, 3.0):
+        want = [float(np.sum(ordered[n:] ** p) ** (1.0 / p)) for n in ns]
+        assert greedy_remainders_sp(f, ns, p) == want
+    assert greedy_remainders_sp(CoefficientSequence(d=2), [0, 1], 2.0) == [0.0, 0.0]
+    with pytest.raises(ValueError):
+        greedy_remainders_sp(f, [2, -1], 1.0)
 
 
 def test_greedy_matches_exhaustive_subsets():

@@ -1,10 +1,12 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from nterm import lattice
+from nterm.approx import extremal_function_f1
 from nterm.functionals import h_functional
 from nterm.rates import (
     QUANTITIES,
@@ -105,8 +107,19 @@ def test_rate_table_greedy_witness_bounds():
         amp = c / rest  # upper-bound normalization check below
         assert c >= math.sqrt(rest) * amp - 1e-12
     assert t.theorem == "thm31_p_ge_2"
+    # d = 2, p = 4: the leftover unit exponential sum has ||.||_4^4 equal
+    # to its additive energy #{k1 + k2 = k3 + k4}, counted in integers
+    t2 = rate_table("greedy_lp_witness", [4, 8], P2, 2, q=1.0, p=4.0)
+    for n, c in zip(t2.n, t2.computed):
+        f = extremal_function_f1(int(n), 1.0, P2, 2)
+        amp = abs(next(iter(f.entries.values())))
+        # equal amplitudes: greedy ties go by |k|_inf, then lexicographic
+        rest = sorted(f.entries, key=lambda k: (max(abs(kc) for kc in k), k))[int(n):]
+        sums = Counter((a[0] + b[0], a[1] + b[1]) for a in rest for b in rest)
+        energy = sum(m * m for m in sums.values())
+        assert c == pytest.approx(amp * energy ** 0.25, rel=1e-12)
     with pytest.raises(ValueError):
-        rate_table("greedy_lp_witness", [4], P2, 2, q=1.0, p=4.0)
+        rate_table("greedy_lp_witness", [4], P2, 2, p=4.0)
 
 
 def test_rate_table_flagged_for_exp_weight():

@@ -1,8 +1,11 @@
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nterm.approx import CoefficientSequence, sp_norm
 from nterm.lattice import BudgetExceededError
@@ -16,6 +19,20 @@ from nterm.trig_lp import (
     lp_norm,
     max_abs_frequency,
 )
+
+
+def additive_energy(points) -> int:
+    """#{(k1, k2, k3, k4) in S^4 : k1 + k2 = k3 + k4}, counted in integers."""
+    sums = Counter(tuple(a + b for a, b in zip(k1, k2)) for k1 in points for k2 in points)
+    return sum(c * c for c in sums.values())
+
+
+def direct_sum(entries: dict, d: int, N: int) -> np.ndarray:
+    """sum_k c_k e^{i (k, x_j)} at every point x_j = 2 pi j / N of the grid."""
+    x = 2.0 * np.pi * np.indices((N,) * d).reshape(d, -1).T / N
+    ks = np.array(list(entries), dtype=np.float64).reshape(-1, d)
+    cs = np.array(list(entries.values()), dtype=np.complex128)
+    return (np.exp(1j * (x @ ks.T)) @ cs).reshape((N,) * d)
 
 
 def test_grid_spec_validation():
@@ -151,3 +168,48 @@ def test_grid_budget(monkeypatch):
     monkeypatch.delenv("NTERM_BUDGET_POINTS")
     assert grid_budget() == 2**24
     assert grid_budget(override=99) == 99
+
+
+def test_fourth_power_is_additive_energy():
+    # unit coefficients: ||f||_4^4 = #{k1 + k2 = k3 + k4}, exact for N > 4 max|k|
+    rng = np.random.default_rng(23)
+    for d, side, size in ((1, 12, 9), (2, 4, 12), (3, 2, 10)):
+        box = np.array(list(np.ndindex(*(2 * side + 1,) * d))) - side
+        gamma = [tuple(int(c) for c in k) for k in box[rng.choice(len(box), size=size, replace=False)]]
+        assert any(c < 0 for k in gamma for c in k)
+        f = CoefficientSequence(d=d, entries={k: 1.0 for k in gamma})
+        g = GridSpec(d=d, N=4 * max_abs_frequency(f) + 1)
+        assert is_exact_quadrature(f, 4.0, g)
+        assert lp_norm(f, 4.0, g) ** 4 == pytest.approx(additive_energy(gamma), rel=1e-12)
+
+
+def test_aliased_frequencies_add_up():
+    # |k| >= N wraps to bin k mod N; (1,) and (8,) share a bin at N = 7
+    cases = (
+        (1, 7, {(1,): 0.5, (8,): -2.0, (-15,): 1j, (21,): 0.25, (-3,): 1.5}),
+        (2, 5, {(0, 0): 1.0, (5, -5): 2.0, (-6, 7): -1j, (1, 2): 0.75, (12, -1): 3.0}),
+    )
+    for d, N, entries in cases:
+        got = evaluate_on_grid(CoefficientSequence(d=d, entries=entries), GridSpec(d=d, N=N))
+        l1 = sum(abs(v) for v in entries.values())
+        assert np.allclose(got, direct_sum(entries, d, N), rtol=0.0, atol=1e-12 * l1)
+
+
+@st.composite
+def sparse_polynomials(draw):
+    d = draw(st.integers(1, 3))
+    N = draw(st.integers(1, 9))
+    keys = draw(st.sets(st.tuples(*[st.integers(-20, 20)] * d), min_size=1, max_size=12))
+    part = st.floats(-10.0, 10.0, allow_subnormal=False)
+    entries = {k: complex(draw(part), draw(part)) for k in sorted(keys)}
+    return d, N, entries
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_polynomials())
+def test_fft_grid_matches_direct_sum(case):
+    d, N, entries = case
+    f = CoefficientSequence(d=d, entries=entries)
+    got = evaluate_on_grid(f, GridSpec(d=d, N=N))
+    l1 = sum(abs(v) for v in f.entries.values())
+    assert np.allclose(got, direct_sum(entries, d, N), rtol=0.0, atol=1e-12 * l1)
