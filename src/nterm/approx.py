@@ -157,13 +157,15 @@ def class_best_nterm_sp(
     shells: ShellDecomposition | None = None,
     tol: float = 1e-9,
     scan_budget: int = 1_000_000,
+    budget: int | None = None,
 ) -> FunctionalResult:
     """Exact best n-term error of the class in the p-coefficient norm.
 
     Evaluates ``H_n(Psi, q/p)^(1/p)`` for the rearranged weight
     ``Psi = rearrangement of psi(|k|_r)^p``.  The returned result keeps
     the threshold index / regime / tail bound of the underlying
-    functional evaluation.
+    functional evaluation.  ``budget`` is the point budget of the
+    weight stream's shell table (see :func:`lattice.point_budget`).
 
     Raises
     ------
@@ -177,7 +179,7 @@ def class_best_nterm_sp(
         shells = lattice.shell_counts(spec.r, spec.d, 16)
     if shells.d != spec.d or shells.r != spec.r:
         raise ValueError("shell decomposition does not match the class spec (r, d)")
-    rw = RearrangedWeight(spec.psi, shells, p_power=p)
+    rw = RearrangedWeight(spec.psi, shells, p_power=p, budget=budget)
     base = h_functional(rw, n, spec.q / p, tol=tol, scan_budget=scan_budget)
     return FunctionalResult(
         value=base.value ** (1.0 / p),

@@ -51,6 +51,8 @@ class RunConfig:
 
 
 def _jsonable(val):
+    if isinstance(val, (int, str)):
+        return val
     if isinstance(val, float):
         if math.isinf(val):
             return "inf" if val > 0 else "-inf"
@@ -272,15 +274,9 @@ def _cmd_shells(args, cfg: RunConfig) -> int:
         raise CliValidationError("need d >= 1 and m-max >= 1")
     sd = lattice.shell_counts(args.r, args.d, args.m_max, budget=args.budget)
     fit = lattice.fit_growth_bounds(sd)
-    buf = ["m,nu,V"]
-    for m in range(sd.m_max + 1):
-        buf.append(f"{m},{int(sd.nu[m])},{int(sd.V[m])}")
-    csv_text = "\n".join(buf) + "\n"
-    result = {
-        "nu": [int(v) for v in sd.nu],
-        "V": [int(v) for v in sd.V],
-        "fit": dataclasses.asdict(fit),
-    }
+    nu, V = sd.nu.tolist(), sd.V.tolist()
+    csv_text = "m,nu,V\n" + "".join(f"{m},{a},{b}\n" for m, (a, b) in enumerate(zip(nu, V)))
+    result = {"nu": nu, "V": V, "fit": dataclasses.asdict(fit)}
     _emit(cfg, csv_text, result, args)
     return 0
 
@@ -309,7 +305,7 @@ def _cmd_en_class(args, cfg: RunConfig) -> int:
     rows = []
     for n in _as_int_list(args.n):
         res = class_best_nterm_sp(spec, n, args.p, shells=shells,
-                                  tol=args.tol, scan_budget=args.scan_budget)
+                                  tol=args.tol, scan_budget=args.scan_budget, budget=args.budget)
         rows.append((n, res.value, res.l_star, res.regime))
     buf = ["n,en"] + [f"{n},{v:.17g}" for n, v, _, _ in rows]
     csv_text = "\n".join(buf) + "\n"

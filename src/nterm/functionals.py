@@ -24,10 +24,13 @@ beyond the current boundary.
 
 Sequences enter through a small duck-typed protocol: ``value(j)``,
 ``values(j_array)``, ``log_value(j)``, ``log_values(j_array)`` and
-``iter_blocks(chunk)`` yielding ``(boundaries, log_values)`` arrays of
-constant-value runs.  ``weights.RearrangedWeight`` implements it
-shell-wise; :class:`ExplicitSequence` wraps an arbitrary callable with
-runs of length one.
+``iter_blocks()`` yielding ``(boundaries, log_values)`` arrays of
+constant-value runs; the functionals call ``iter_blocks()`` without
+arguments and stop consuming as soon as they are done.
+``weights.RearrangedWeight`` implements it shell-wise, with blocks that
+start at 16 shells and double up to 4096, so the shell table grows only
+as far as a scan reads; :class:`ExplicitSequence` wraps an arbitrary
+callable with runs of length one.
 
 Accumulation is linear with compensated (Kahan) block sums while the
 magnitudes stay inside the float range and switches to log-domain
@@ -137,7 +140,7 @@ def _logsub(a, b):
         return np.where(diff < 0, out, -np.inf)
 
 
-def _blocks_with_lookahead(seq, chunk: int = _CHUNK):
+def _blocks_with_lookahead(seq):
     """Yield (prev_boundary, boundary, logval, next_logval) block arrays.
 
     Emission of each block is deferred until the next block's value is
@@ -146,7 +149,7 @@ def _blocks_with_lookahead(seq, chunk: int = _CHUNK):
     pend_V = np.empty(0, dtype=np.int64)
     pend_lv = np.empty(0, dtype=np.float64)
     prev_boundary = 0
-    for V_arr, lv_arr in seq.iter_blocks(chunk):
+    for V_arr, lv_arr in seq.iter_blocks():
         V_all = np.concatenate([pend_V, np.asarray(V_arr, dtype=np.int64)])
         lv_all = np.concatenate([pend_lv, np.asarray(lv_arr, dtype=np.float64)])
         if len(V_all) < 2:
@@ -259,8 +262,10 @@ def tail_sum(
     """(value, bound) with value = sum_{j>l} Psi(j)^s' truncated so that
     the certified remainder is at most ``bound <= tol * value``.
 
-    Certification samples sums over dyadic index windows; once the
-    window ratio rho stays below 1 the remainder is bounded by the
+    Certification samples sums over index windows that at least double:
+    each window ends on the first block boundary at or past twice the
+    previous end, so no window is empty.  Once the window ratio rho
+    stays below 1 the remainder is bounded by the
     geometric series ``B * rho / (1 - rho)``.  Terms are accumulated
     largest-first (the sequence is nonincreasing) with compensated
     addition.
@@ -298,6 +303,8 @@ def tail_sum(
         total.add(float(np.sum(terms)))
         cums = carry_cum + np.cumsum(terms)
         while next_cp <= pos:
+            # next target is twice this boundary, not twice the old
+            # target: two targets in one block would make an empty window
             i = int(np.searchsorted(V_arr, next_cp, side="left"))
             cp_cum = float(cums[i])
             window = cp_cum - last_cp_cum
@@ -325,7 +332,7 @@ def tail_sum(
             elif window == 0.0:
                 return total.total, 0.0
             prev_window = window
-            next_cp *= 2
+            next_cp = 2 * int(V_arr[i])
             if windows > max_doublings:
                 raise DivergentTailError(
                     f"tail not certified to tol={tol} within {max_doublings} dyadic windows"

@@ -135,11 +135,13 @@ def has_closed_counts(r, d: int) -> bool:
 
 
 def _binom_poly(m: np.ndarray, i: int) -> np.ndarray:
-    # C(m, i) elementwise for m >= 0; zero when m < i.
+    # C(m, i) elementwise for m >= 0; zero when m < i.  Each step is the
+    # exact C(m, j+1) = C(m, j) (m - j) / (j + 1), so no intermediate
+    # exceeds (j + 1) C(m, j + 1) <= V_m.
     out = np.ones_like(m)
     for j in range(i):
-        out = out * (m - j)
-    return out // math.factorial(i)
+        out = out * (m - j) // (j + 1)
+    return out
 
 
 def _counts_l1(m: np.ndarray, d: int) -> np.ndarray:
@@ -150,17 +152,48 @@ def _counts_l1(m: np.ndarray, d: int) -> np.ndarray:
 
 
 def _counts_l2_d2(m_max: int) -> np.ndarray:
-    # number of (k1, k2) with k1^2 + k2^2 <= m^2, exact via isqrt
+    # number of (k1, k2) with k1^2 + k2^2 <= m^2, exact via isqrt.  The
+    # axes hold 1 + 4m points; each open quadrant holds
+    # 2 * sum_{x=1..a} isqrt(m^2 - x^2) - a^2 with a = isqrt(m^2 // 2),
+    # the columns x <= a and rows y <= a overlapping in an a-by-a square
     out = np.empty(m_max + 1, dtype=np.int64)
     for m in range(m_max + 1):
-        x = np.arange(-m, m + 1, dtype=np.int64)
+        a = math.isqrt(m * m // 2)
+        x = np.arange(1, a + 1, dtype=np.int64)
         s = m * m - x * x
         t = np.floor(np.sqrt(s.astype(np.float64))).astype(np.int64)
         # repair float rounding at perfect squares
         t = np.where((t + 1) * (t + 1) <= s, t + 1, t)
         t = np.where(t * t > s, t - 1, t)
-        out[m] = np.sum(2 * t + 1)
+        out[m] = 1 + 4 * m + 4 * (2 * int(np.sum(t)) - a * a)
     return out
+
+
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _count_bound(r, d: int, m: int) -> int:
+    # V_m in Python ints for r in {1, inf} and r = 2, d = 1; the bounding
+    # cube (2m+1)^d, an upper bound, for r = 2, d = 2
+    if r == 1.0:
+        return sum(2**i * math.comb(d, i) * math.comb(m, i) for i in range(d + 1))
+    return (2 * m + 1) ** d
+
+
+def _check_int64(r, d: int, m_max: int) -> None:
+    """Raise OverflowError when V_{m_max} would not fit in int64."""
+    if _count_bound(r, d, m_max) <= _INT64_MAX:
+        return
+    lo, hi = 0, m_max  # _count_bound(lo) fits, _count_bound(hi) does not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _count_bound(r, d, mid) <= _INT64_MAX:
+            lo = mid
+        else:
+            hi = mid
+    raise OverflowError(
+        f"ball counts for r={r}, d={d} exceed int64 past radius {lo}; requested radius {m_max}"
+    )
 
 
 def ball_counts(r, d: int, m) -> np.ndarray:
@@ -168,8 +201,17 @@ def ball_counts(r, d: int, m) -> np.ndarray:
 
     Vectorized over ``m`` (nonnegative ints).  Only valid when
     :func:`has_closed_counts` is true for ``(r, d)``.
+
+    Raises
+    ------
+    OverflowError
+        If V_m for the largest requested m does not fit in int64; the
+        message names the largest radius that does (for r = 2, d = 2
+        the bound is the one of the enclosing cube).
     """
     m_arr = np.asarray(m, dtype=np.int64)
+    if has_closed_counts(r, d) and m_arr.size:
+        _check_int64(r, d, int(m_arr.max()))
     if math.isinf(r):
         return (2 * m_arr + 1) ** d
     if r == 1.0:
@@ -240,9 +282,24 @@ class ShellDecomposition:
         return len(self.V) - 1
 
     def extended(self, m_new: int, budget: int | None = None) -> "ShellDecomposition":
-        """A decomposition of the same (r, d) covering radii up to m_new."""
+        """A decomposition of the same (r, d) covering radii up to m_new.
+
+        The table holds one entry per radius, and its length counts
+        against the point budget like enumerated points do.
+
+        Raises
+        ------
+        BudgetExceededError
+            If m_new + 1 entries exceed the point budget, or enumeration
+            is required and its box exceeds it.
+        """
         if m_new <= self.m_max:
             return self
+        limit = point_budget(budget)
+        if m_new + 1 > limit:
+            raise BudgetExceededError(
+                f"shell table to radius {m_new} needs {m_new + 1} entries, budget is {limit}"
+            )
         return shell_counts(self.r, self.d, m_new, budget=budget)
 
 
@@ -257,6 +314,8 @@ def shell_counts(r, d: int, m_max: int, budget: int | None = None) -> ShellDecom
     ------
     BudgetExceededError
         When enumeration is required and the box exceeds the budget.
+    OverflowError
+        When closed-form counts up to m_max do not fit in int64.
     """
     if m_max < 0:
         raise ValueError(f"m_max must be nonnegative, got {m_max}")

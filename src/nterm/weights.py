@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import lattice
 from .lattice import ShellDecomposition
 
 _FAMILIES = ("power", "powerlog", "log", "exp", "const")
@@ -350,31 +349,27 @@ class RearrangedWeight:
     def log_values(self, j) -> np.ndarray:
         return np.asarray(self.log_value(j), dtype=np.float64)
 
-    def iter_blocks(self, chunk: int = 4096):
-        """Yield (boundaries, log values) for successive shells.
+    def iter_blocks(self):
+        """Yield (boundaries, log values) for successive blocks of shells.
 
-        Block i of a chunk covers positions (V_{i-1}, V_i] at constant
-        value; boundaries are cumulative counts, strictly increasing
-        across the whole stream.  The stream is unbounded; callers stop
+        Entry i of a block covers positions (V_{m-1}, V_m] of one shell
+        m at constant value; boundaries are cumulative counts, strictly
+        increasing across the whole stream.  The first block holds 16
+        shells and each next one twice as many, up to 4096, so a scan
+        that stops early reads only the shells it needs.  The shell
+        table grows (at least doubling) when a block reaches past it,
+        under the point budget.  The stream is unbounded; callers stop
         consuming when done.
         """
-        if lattice.has_closed_counts(self.shells.r, self.shells.d):
-            m0 = 0
-            while True:
-                m_arr = np.arange(m0, m0 + chunk, dtype=np.int64)
-                V = lattice.ball_counts(self.shells.r, self.shells.d, m_arr)
-                lv = self.p_power * self.psi.log_value(np.maximum(m_arr, 1).astype(np.float64))
-                yield V, np.asarray(lv, dtype=np.float64)
-                m0 += chunk
-        else:
-            m0 = 0
-            while True:
-                if self.shells.m_max < m0 + chunk - 1:
-                    self.shells = self.shells.extended(
-                        max(2 * self.shells.m_max, m0 + chunk), budget=self.budget
-                    )
-                m_arr = np.arange(m0, m0 + chunk, dtype=np.int64)
-                V = self.shells.V[m_arr]
-                lv = self.p_power * self.psi.log_value(np.maximum(m_arr, 1).astype(np.float64))
-                yield V, np.asarray(lv, dtype=np.float64)
-                m0 += chunk
+        m0, size = 0, 16
+        while True:
+            needed = m0 + size - 1
+            if self.shells.m_max < needed:
+                self.shells = self.shells.extended(
+                    max(2 * self.shells.m_max, needed), budget=self.budget
+                )
+            m_arr = np.arange(m0, m0 + size, dtype=np.int64)
+            lv = self.p_power * self.psi.log_value(np.maximum(m_arr, 1).astype(np.float64))
+            yield self.shells.V[m0 : m0 + size], np.asarray(lv, dtype=np.float64)
+            m0 += size
+            size = min(2 * size, 4096)

@@ -240,3 +240,44 @@ def test_extremal_f1_validation():
         extremal_function_f1(8, 0.0, psi, 1)
     with pytest.raises(ValueError):
         extremal_function_f1(8, 1.0, psi, 0)
+
+
+def _brute_force_sup_class_error(psi, r, d, q, p, n, radius):
+    # rearrangement of psi(|k|_r)^p over the ball of the given radius, then
+    # the sup of h(l) = (l - n) (sum_{j<=l} Psi^-s)^(-1/s), s = q/p, at every l
+    shells = np.array([lattice.shell_index(k, r) for k in lattice.enumerate_ball(radius, r, d)])
+    vals = np.sort(psi(np.maximum(shells[shells <= radius], 1)) ** p)[::-1]
+    s = q / p
+    l = np.arange(1, len(vals) + 1, dtype=np.float64)
+    h = np.where(l > n, (l - n) * np.cumsum(vals ** -s) ** (-1.0 / s), -np.inf)
+    best = int(np.argmax(h))
+    assert l[best] < 0.5 * len(vals)  # the maximizer is interior to the ball
+    return float(h[best]) ** (1.0 / p)
+
+
+@pytest.mark.parametrize("r, d, psi, radius, ns", [
+    (1.5, 2, WeightFunction("power", s=2.0), 40, (1, 2, 5, 11, 16)),
+    (2.0, 3, WeightFunction("power", s=2.0), 14, (1, 2, 5, 11, 16)),
+    (math.inf, 6, WeightFunction("power", s=7.0), 2, (1, 2, 4, 8)),
+])
+def test_class_best_nterm_enumerated_and_high_d_brute_force(r, d, psi, radius, ns):
+    # configurations whose stream used to exhaust the point budget (r = 1.5,
+    # r = 2 at d = 3) or wrap int64 counts (d = 6)
+    spec = FunctionClassSpec(q=1.0, r=r, psi=psi, d=d)
+    for n in ns:
+        res = class_best_nterm_sp(spec, n, 2.0)
+        assert res.regime == "sup"
+        want = _brute_force_sup_class_error(psi, r, d, 1.0, 2.0, n, radius)
+        assert res.value == pytest.approx(want, rel=1e-9)
+
+
+def test_stream_stays_inside_small_budget():
+    # the scan certifies within the first shells, so a 10 000-point budget
+    # (radius 49 at d = 2) suffices for the enumerated r = 1.5 table
+    psi = WeightFunction("power", s=2.0)
+    shells = lattice.shell_counts(1.5, 2, 8, budget=10_000)
+    rw = RearrangedWeight(psi, shells, p_power=2.0, budget=10_000)
+    res = h_functional(rw, 4, 0.5)
+    want = _brute_force_sup_class_error(psi, 1.5, 2, 1.0, 2.0, 4, 40) ** 2.0
+    assert res.value == pytest.approx(want, rel=1e-9)
+    assert rw.shells.m_max <= 49

@@ -175,3 +175,22 @@ def test_check_psi(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["result"]["class_b"]["in_class"] is False
     assert doc["result"]["decay"]["satisfied"] is False
+
+
+def test_en_class_budget_reaches_the_stream(monkeypatch, capsys):
+    # the stream's shell table grows under --budget, not only the first table
+    monkeypatch.setenv("NTERM_BUDGET_POINTS", "400")
+    argv = ["en-class", "--psi", "power:s=2", "--q", "1", "--p", "2", "--n", "4",
+            "--r", "1.5", "--d", "2"]
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().err.strip())["error"]["type"] == "BudgetExceededError"
+    assert main(argv + ["--budget", "10000"]) == 0
+    assert capsys.readouterr().out.startswith("n,en\n4,")
+
+
+def test_int64_overflow_exit_1_json_record(capsys):
+    code = main(["shells", "--r", "inf", "--d", "6", "--m-max", "800"])
+    assert code == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"]["type"] == "OverflowError"
+    assert "past radius 723" in record["error"]["message"]

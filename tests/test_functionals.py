@@ -205,3 +205,47 @@ def test_explicit_sequence_protocol():
     bounds, logs = next(iter(seq.iter_blocks(chunk=8)))
     assert bounds.tolist() == [1, 2, 3, 4, 5, 6, 7, 8]
     np.testing.assert_allclose(logs, -2.0 * np.log(np.arange(1, 9)), rtol=1e-13)
+
+
+def _cube_tail_oracle(sigma, n, m_scan=400):
+    # r = inf, d = 3: shell m >= 1 holds nu_m = 24 m^2 + 2 points of value
+    # m^-sigma (the origin has value 1).  With s = s' = 2 the head is an
+    # exact finite sum and the tail past shell M is
+    # 24 zeta(2 sigma - 2, M + 1) + 2 zeta(2 sigma, M + 1).
+    with mpmath.workdps(40):
+        V, S = 1, mpmath.mpf(1)
+        best = None
+        for m in range(1, m_scan + 1):
+            V += 24 * m * m + 2
+            S += (24 * m * m + 2) * mpmath.mpf(m) ** (2 * sigma)
+            q = (V - n) / S
+            if V > n and (best is None or q >= best[0]):
+                best = (q, m, V, S)
+        _, M, l_star, S = best
+        assert M < m_scan // 2  # the maximizer is interior to the scan
+        tail = 24 * mpmath.zeta(2 * sigma - 2, M + 1) + 2 * mpmath.zeta(2 * sigma, M + 1)
+        head = mpmath.mpf(l_star - n) ** 2 / S
+        return l_star, float(mpmath.sqrt(head + tail)), float(tail)
+
+
+@pytest.mark.parametrize("sigma", [2.5, 3.0])
+@pytest.mark.parametrize("n", [5, 40])
+def test_tail_regime_hurwitz_zeta_oracle(sigma, n):
+    l_star, want, want_tail = _cube_tail_oracle(sigma, n)
+    rw = RearrangedWeight(WeightFunction("power", s=sigma), lattice.shell_counts(math.inf, 3, 8))
+    res = h_functional(rw, n, 2.0)
+    assert res.regime == "tail"
+    assert res.l_star == l_star
+    assert res.tail_truncation_error_bound > 0.0
+    assert res.value == pytest.approx(want, rel=1e-9)
+    tail, bound = tail_sum(rw, l_star, 2.0)
+    assert 0.0 < bound <= 1e-9 * tail
+    assert tail == pytest.approx(want_tail, rel=1e-9)
+
+
+def test_tail_regime_slow_tail_raises_typed_error():
+    # sigma = 2: the tail 24 zeta(2, M+1) + ... decays like 1/M, too slowly
+    # to certify to tol = 1e-9 within the window limit
+    rw = RearrangedWeight(WeightFunction("power", s=2.0), lattice.shell_counts(math.inf, 3, 8))
+    with pytest.raises(DivergentTailError):
+        h_functional(rw, 5, 2.0)

@@ -154,3 +154,50 @@ def test_fit_bounds_bracket_counts():
         V = sd.V[2:].astype(np.float64)
         assert np.all(fit.M0 * (m - fit.c1) ** d < V)
         assert np.all(V <= fit.M0 * (m + fit.c2) ** d)
+
+
+def test_gauss_circle_octant_count_matches_integer_count():
+    # pure-int count: sum over the x-column of 2*isqrt(m^2 - x^2) + 1
+    want = [sum(2 * math.isqrt(m * m - x * x) + 1 for x in range(-m, m + 1)) for m in range(501)]
+    assert ball_counts(2, 2, np.arange(501)).tolist() == want
+    assert int(ball_counts(2, 2, [4095])[0]) == 52681305
+
+
+def _exact_count(r, d, m):
+    # V_m in Python ints: the cube for r = inf, sum_i 2^i C(d,i) C(m,i) for r = 1
+    if math.isinf(r):
+        return (2 * m + 1) ** d
+    return sum(2**i * math.comb(d, i) * math.comb(m, i) for i in range(d + 1))
+
+
+def test_exact_count_formula_matches_enumeration_high_d():
+    for r, d in [(math.inf, 5), (1, 5), (1, 6)]:
+        counts = [0] * 3
+        for k in enumerate_ball(2, r, d):
+            counts[shell_index(k, r)] += 1
+        assert np.cumsum(counts).tolist() == [_exact_count(r, d, m) for m in range(3)]
+
+
+@pytest.mark.parametrize("r", [math.inf, 1])
+@pytest.mark.parametrize("d", [5, 6, 7, 8])
+def test_ball_counts_int64_limit(r, d):
+    top = 2**63 - 1
+    lo, hi = 0, 1
+    while _exact_count(r, d, hi) <= top:
+        hi *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _exact_count(r, d, mid) <= top else (lo, mid)
+    sd = shell_counts(r, d, lo)
+    assert sd.V.tolist() == [_exact_count(r, d, m) for m in range(lo + 1)]
+    with pytest.raises(OverflowError, match=f"past radius {lo};"):
+        shell_counts(r, d, lo + 1)
+    with pytest.raises(OverflowError):
+        ball_counts(r, d, [0, lo + 1])
+
+
+def test_extended_table_length_budget():
+    sd = shell_counts(math.inf, 1, 3)
+    assert sd.extended(49, budget=50).m_max == 49
+    with pytest.raises(BudgetExceededError):
+        sd.extended(50, budget=50)
