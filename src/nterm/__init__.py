@@ -12,6 +12,7 @@ from .approx import (
     CoefficientSequence,
     FunctionClassSpec,
     class_best_nterm_sp,
+    class_best_nterm_sp_grid,
     class_membership_norm,
     extremal_function_f1,
     greedy_order,
@@ -26,6 +27,7 @@ from .functionals import (
     NoThresholdError,
     find_l_star,
     h_functional,
+    h_functional_grid,
     q_n,
     tail_sum,
 )
@@ -81,6 +83,7 @@ __all__ = [
     "check_class_b",
     "check_decay_condition",
     "class_best_nterm_sp",
+    "class_best_nterm_sp_grid",
     "class_membership_norm",
     "enumerate_ball",
     "evaluate_on_grid",
@@ -92,6 +95,7 @@ __all__ = [
     "greedy_remainder_sp",
     "greedy_remainders_sp",
     "h_functional",
+    "h_functional_grid",
     "hausdorff_young_gap",
     "is_exact_quadrature",
     "lp_norm",

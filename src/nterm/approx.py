@@ -10,7 +10,8 @@ remainder is simultaneously the best n-term and the best orthogonal
 A function class is the unit ball ``sum_k (|c_k| / psi(|k|_r))^q <= 1``
 for a decreasing weight psi.  Its exact best n-term error in the
 p-coefficient norm is ``H_n(rearranged psi^p, q/p)^(1/p)``, computed by
-:func:`class_best_nterm_sp` through the extremal functionals; for
+:func:`class_best_nterm_sp` (one n) or :func:`class_best_nterm_sp_grid`
+(an n-grid, one stream) through the extremal functionals; for
 ``p < q`` this requires ``sum_k psi(|k|_r)^(pq/(q-p)) < infinity``.
 
 :func:`extremal_function_f1` builds the equal-coefficient witness
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lattice
-from .functionals import FunctionalResult, h_functional
+from .functionals import FunctionalResult, h_functional_grid
 from .lattice import ShellDecomposition
 from .weights import RearrangedWeight, WeightFunction
 
@@ -161,11 +162,30 @@ def class_best_nterm_sp(
 ) -> FunctionalResult:
     """Exact best n-term error of the class in the p-coefficient norm.
 
+    The one-n case of :func:`class_best_nterm_sp_grid`.
+    """
+    return class_best_nterm_sp_grid(spec, [n], p, shells=shells, tol=tol,
+                                    scan_budget=scan_budget, budget=budget)[0]
+
+
+def class_best_nterm_sp_grid(
+    spec: FunctionClassSpec,
+    ns,
+    p: float,
+    shells: ShellDecomposition | None = None,
+    tol: float = 1e-9,
+    scan_budget: int = 1_000_000,
+    budget: int | None = None,
+) -> list[FunctionalResult]:
+    """Exact best n-term errors of the class at every n of ``ns``.
+
     Evaluates ``H_n(Psi, q/p)^(1/p)`` for the rearranged weight
-    ``Psi = rearrangement of psi(|k|_r)^p``.  The returned result keeps
-    the threshold index / regime / tail bound of the underlying
-    functional evaluation.  ``budget`` is the point budget of the
-    weight stream's shell table (see :func:`lattice.point_budget`).
+    ``Psi = rearrangement of psi(|k|_r)^p`` over one stream of that
+    weight (see :func:`functionals.h_functional_grid`); results follow
+    the order of ``ns``.  Each result keeps the threshold index / regime
+    / tail bound of the underlying functional evaluation.  ``budget`` is
+    the point budget of the weight stream's shell table (see
+    :func:`lattice.point_budget`).
 
     Raises
     ------
@@ -176,17 +196,19 @@ def class_best_nterm_sp(
     if not p > 0:
         raise ValueError(f"need p > 0, got p={p}")
     if shells is None:
-        shells = lattice.shell_counts(spec.r, spec.d, 16)
+        shells = lattice.shell_counts(spec.r, spec.d, 16, budget=budget)
     if shells.d != spec.d or shells.r != spec.r:
         raise ValueError("shell decomposition does not match the class spec (r, d)")
     rw = RearrangedWeight(spec.psi, shells, p_power=p, budget=budget)
-    base = h_functional(rw, n, spec.q / p, tol=tol, scan_budget=scan_budget)
-    return FunctionalResult(
-        value=base.value ** (1.0 / p),
-        l_star=base.l_star,
-        regime=base.regime,
-        tail_truncation_error_bound=base.tail_truncation_error_bound,
-    )
+    return [
+        FunctionalResult(
+            value=base.value ** (1.0 / p),
+            l_star=base.l_star,
+            regime=base.regime,
+            tail_truncation_error_bound=base.tail_truncation_error_bound,
+        )
+        for base in h_functional_grid(rw, ns, spec.q / p, tol=tol, scan_budget=scan_budget)
+    ]
 
 
 def extremal_function_f1(n: int, q: float, psi: WeightFunction, d: int) -> CoefficientSequence:

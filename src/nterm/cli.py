@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lattice, rates, trig_lp, weights
-from .approx import CoefficientSequence, FunctionClassSpec, class_best_nterm_sp, greedy_order, greedy_remainders_sp
+from .approx import CoefficientSequence, FunctionClassSpec, class_best_nterm_sp_grid, greedy_order, greedy_remainders_sp
 from .functionals import DivergentTailError, NoThresholdError, h_functional
 from .lattice import BudgetExceededError
 from .trig_lp import GridSpec
@@ -104,7 +105,6 @@ def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", help="write CSV table here instead of stdout")
     sub.add_argument("--json-out", help="write the JSON mirror here")
     sub.add_argument("--config", help="JSON file of flag defaults (explicit flags win)")
-    sub.add_argument("--threads", type=int, default=1, help="cap internal parallelism")
     sub.add_argument("--budget", type=int, default=None,
                      help="override enumeration/grid point budgets (also env NTERM_BUDGET_POINTS)")
     sub.add_argument("--scan-budget", type=int, default=1_000_000,
@@ -114,19 +114,28 @@ def _common_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import shutil
+
+    # argparse builds a formatter (which asks for the terminal size) on
+    # every add_argument call; one width for the whole build keeps the
+    # wrapping and saves those queries
+    fmt = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="nterm",
         description="n-term approximation characteristics of weighted Fourier classes",
+        formatter_class=fmt,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("shells", help="shell counts of the integer lattice and growth fit")
+    p = sub.add_parser("shells", formatter_class=fmt,
+                       help="shell counts of the integer lattice and growth fit")
     p.add_argument("--r", type=_parse_r, default=math.inf)
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--m-max", type=int, default=None)
     _common_flags(p)
 
-    p = sub.add_parser("hfunc", help="extremal functional H_n over a rearranged weight")
+    p = sub.add_parser("hfunc", formatter_class=fmt,
+                       help="extremal functional H_n over a rearranged weight")
     p.add_argument("--psi", default=None, help="weight, e.g. power:s=2 or const")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--s", type=float, default=None)
@@ -136,7 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rearrange psi^p-power instead of psi")
     _common_flags(p)
 
-    p = sub.add_parser("en-class", help="exact best n-term class error in the p coefficient norm")
+    p = sub.add_parser("en-class", formatter_class=fmt,
+                       help="exact best n-term class error in the p coefficient norm")
     p.add_argument("--psi", default=None)
     p.add_argument("--q", type=float, default=None)
     p.add_argument("--p", type=float, default=None)
@@ -145,13 +155,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=1)
     _common_flags(p)
 
-    p = sub.add_parser("greedy", help="greedy n-term remainder of a coefficient file")
+    p = sub.add_parser("greedy", formatter_class=fmt,
+                       help="greedy n-term remainder of a coefficient file")
     p.add_argument("--in", dest="infile", default=None, help="coefficient sequence JSON")
     p.add_argument("--n", type=_parse_int_list, default=None, help="n or comma list")
     p.add_argument("--p", type=float, default=None)
     _common_flags(p)
 
-    p = sub.add_parser("lemma51", help="L_p norms of random unit exponential sums")
+    p = sub.add_parser("lemma51", formatter_class=fmt,
+                       help="L_p norms of random unit exponential sums")
     p.add_argument("--n-grid", type=_parse_int_list, default=None)
     p.add_argument("--p", type=_parse_float_list, default=None, help="p or comma list")
     p.add_argument("--d", type=int, default=1)
@@ -159,7 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cube-scale", type=float, default=2.0)
     _common_flags(p)
 
-    p = sub.add_parser("rates", help="computed vs predicted order table with ratio window")
+    p = sub.add_parser("rates", formatter_class=fmt,
+                       help="computed vs predicted order table with ratio window")
     p.add_argument("--quantity", choices=rates.QUANTITIES, default=None)
     p.add_argument("--theorem", choices=rates.THEOREM_TAGS, default=None)
     p.add_argument("--psi", default=None)
@@ -171,7 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=1)
     _common_flags(p)
 
-    p = sub.add_parser("check-psi", help="slow-vanishing class and decay-condition evidence")
+    p = sub.add_parser("check-psi", formatter_class=fmt,
+                       help="slow-vanishing class and decay-condition evidence")
     p.add_argument("--psi", default=None)
     p.add_argument("--s", type=float, default=None, help="also check the decay condition at this s")
     p.add_argument("--d", type=int, default=1)
@@ -302,11 +316,10 @@ def _cmd_en_class(args, cfg: RunConfig) -> int:
     psi = parse_weight(args.psi)
     spec = FunctionClassSpec(q=args.q, r=args.r, psi=psi, d=args.d)
     shells = lattice.shell_counts(args.r, args.d, 8, budget=args.budget)
-    rows = []
-    for n in _as_int_list(args.n):
-        res = class_best_nterm_sp(spec, n, args.p, shells=shells,
-                                  tol=args.tol, scan_budget=args.scan_budget, budget=args.budget)
-        rows.append((n, res.value, res.l_star, res.regime))
+    ns = _as_int_list(args.n)
+    results = class_best_nterm_sp_grid(spec, ns, args.p, shells=shells, tol=args.tol,
+                                       scan_budget=args.scan_budget, budget=args.budget)
+    rows = [(n, res.value, res.l_star, res.regime) for n, res in zip(ns, results)]
     buf = ["n,en"] + [f"{n},{v:.17g}" for n, v, _, _ in rows]
     csv_text = "\n".join(buf) + "\n"
     result = {"rows": [
@@ -358,7 +371,7 @@ def _cmd_lemma51(args, cfg: RunConfig) -> int:
                 gamma.append(tuple(k))
             kmax = max(max(abs(c) for c in k) for k in gamma)
             for p in p_list:
-                N = int(2 * math.ceil(p) * max(kmax, 1) + 1)
+                N = trig_lp.grid_points(p, kmax, int(2 * math.ceil(p) * max(kmax, 1) + 1))
                 g = GridSpec(d=args.d, N=N)
                 val = trig_lp.exponential_sum_norm(gamma, p, g, cube_scale=None,
                                                    budget=args.budget)
@@ -384,7 +397,7 @@ def _cmd_rates(args, cfg: RunConfig) -> int:
         theorem=args.theorem,
         tol=args.tol,
         scan_budget=args.scan_budget,
-        threads=args.threads,
+        budget=args.budget,
     )
     k1, k2 = rates.ratio_window(table)
     result = json.loads(table.to_json())

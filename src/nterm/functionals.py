@@ -22,20 +22,33 @@ block h is unimodal with a closed-form interior maximizer, and the
 envelope obtained by freezing the next block's value bounds everything
 beyond the current boundary.
 
+:func:`h_functional_grid` evaluates a whole n-grid in one pass over the
+sequence; :func:`h_functional` is its one-n case.  The prefix sum
+``S(l) = sum_{j<=l} Psi(j)^(-s)`` does not depend on n, and raising n
+lowers every q(l), so ``l_star(n)`` is nondecreasing in n: the scan
+resolves the thresholds in ascending n as it reaches them.  In the
+tail regime the same pass sums ``Psi^s'`` over the segments between
+consecutive thresholds and then certifies the remainder past the
+largest one; that single certified remainder bounds the truncation
+error of every n, since it is at most ``tol`` times the smallest tail.
+In the supremum regime each n keeps its own candidates and stopping
+envelope, evaluated for all live n at once, and freezes when its own
+certification holds.
+
 Sequences enter through a small duck-typed protocol: ``value(j)``,
 ``values(j_array)``, ``log_value(j)``, ``log_values(j_array)`` and
 ``iter_blocks()`` yielding ``(boundaries, log_values)`` arrays of
-constant-value runs; the functionals call ``iter_blocks()`` without
-arguments and stop consuming as soon as they are done.
-``weights.RearrangedWeight`` implements it shell-wise, with blocks that
-start at 16 shells and double up to 4096, so the shell table grows only
-as far as a scan reads; :class:`ExplicitSequence` wraps an arbitrary
-callable with runs of length one.
+constant-value runs; the functionals call ``iter_blocks()`` once per
+evaluation, without arguments, and stop consuming as soon as they are
+done.  ``weights.RearrangedWeight`` implements it shell-wise, with
+blocks that start at 16 shells and double up to 4096, so the shell
+table grows only as far as a scan reads; :class:`ExplicitSequence`
+wraps an arbitrary callable with runs of length one.
 
-Accumulation is linear with compensated (Kahan) block sums while the
-magnitudes stay inside the float range and switches to log-domain
-``logaddexp`` accumulation beyond it, so fast-decaying weights (where
-``Psi(j)^(-s)`` overflows) stay usable.
+Prefix sums ``S(l)`` are accumulated in the log domain (``logaddexp``),
+so fast-decaying weights, where ``Psi(j)^(-s)`` overflows, stay usable;
+tail sums of ``Psi^s'`` (bounded positive terms) use compensated
+(Kahan) addition.
 """
 
 from __future__ import annotations
@@ -48,10 +61,12 @@ import numpy as np
 
 _CHUNK = 4096
 DEFAULT_SCAN_BUDGET = 1_000_000
+MAX_DOUBLINGS = 48
+_SUP_ROWS = 32  # n values evaluated together by the sup-regime scan
 
 
 class NoThresholdError(RuntimeError):
-    """No finite threshold index found within the scan budget."""
+    """No finite threshold index (or admissible l) found within the scan budget."""
 
 
 class DivergentTailError(RuntimeError):
@@ -130,6 +145,11 @@ def _acc_log(carry: float, terms: np.ndarray) -> np.ndarray:
     return np.logaddexp.accumulate(np.concatenate(([carry], terms)))[1:]
 
 
+def _log_prefix(carry: float, Vp: np.ndarray, V: np.ndarray, lv: np.ndarray, s: float) -> np.ndarray:
+    """log S at each boundary of a block, continuing from log S = carry."""
+    return _acc_log(carry, np.log((V - Vp).astype(np.float64)) - s * lv)
+
+
 def _logsub(a, b):
     """Elementwise log(e^a - e^b); -inf where the difference is <= 0."""
     a = np.asarray(a, dtype=np.float64)
@@ -146,56 +166,71 @@ def _blocks_with_lookahead(seq):
     Emission of each block is deferred until the next block's value is
     known (needed by threshold predicates and stopping envelopes).
     """
-    pend_V = np.empty(0, dtype=np.int64)
-    pend_lv = np.empty(0, dtype=np.float64)
-    prev_boundary = 0
+    # the last emitted boundary, then the boundaries and values of the
+    # runs still waiting for their successor's value
+    V_buf = np.zeros(1, dtype=np.int64)
+    lv_buf = np.empty(0, dtype=np.float64)
     for V_arr, lv_arr in seq.iter_blocks():
-        V_all = np.concatenate([pend_V, np.asarray(V_arr, dtype=np.int64)])
-        lv_all = np.concatenate([pend_lv, np.asarray(lv_arr, dtype=np.float64)])
-        if len(V_all) < 2:
-            pend_V, pend_lv = V_all, lv_all
+        V_all = np.concatenate([V_buf, np.asarray(V_arr, dtype=np.int64)])
+        lv_all = np.concatenate([lv_buf, np.asarray(lv_arr, dtype=np.float64)])
+        if len(lv_all) < 2:
+            V_buf, lv_buf = V_all, lv_all
             continue
-        V_emit = V_all[:-1]
-        lv_emit = lv_all[:-1]
-        lv_next = lv_all[1:]
-        Vp_emit = np.concatenate(([prev_boundary], V_emit[:-1]))
-        yield Vp_emit, V_emit, lv_emit, lv_next
-        prev_boundary = int(V_emit[-1])
-        pend_V, pend_lv = V_all[-1:], lv_all[-1:]
+        yield V_all[:-2], V_all[1:-1], lv_all[:-1], lv_all[1:]
+        V_buf, lv_buf = V_all[-2:], lv_all[-1:]
 
 
-def _prefix_sums(seq, l: int, s: float) -> tuple[float | None, float]:
-    """(linear, log) of sum_{j<=l} Psi(j)^(-s); linear is None on overflow."""
-    kah = _Kahan()
-    lin_ok = True
-    log_total = -math.inf
-    pos = 0
-    for V_arr, lv_arr in seq.iter_blocks():
-        V_arr = np.asarray(V_arr, dtype=np.int64)
-        Vp = np.concatenate(([pos], V_arr[:-1]))
-        take = np.minimum(V_arr, l) - Vp
-        valid = take > 0
-        if np.any(valid):
-            t_log = np.log(take[valid].astype(np.float64)) - s * lv_arr[valid]
-            log_total = np.logaddexp(log_total, np.logaddexp.reduce(t_log))
-            if lin_ok:
-                with np.errstate(over="ignore"):
-                    chunk_sum = float(np.sum(np.exp(-s * lv_arr[valid]) * take[valid]))
-                if math.isfinite(chunk_sum):
-                    kah.add(chunk_sum)
-                else:
-                    lin_ok = False
-        pos = int(V_arr[-1])
-        if pos >= l:
-            break
-    return (kah.total if lin_ok else None, float(log_total))
+class _Thresholds:
+    """Threshold indices of an ascending n-grid, resolved in one scan.
+
+    Fed the lookahead blocks in order; ``l_star[i]`` and ``log_S[i]``
+    (log of the prefix sum at it) are valid for ``i < done``.  Since
+    the predicate ``q_n(l) > Psi(l+1)^s`` holding for n implies it for
+    every smaller n, the thresholds resolve in ascending n.
+    """
+
+    def __init__(self, ns: np.ndarray, s: float, scan_budget: int):
+        self.ns = ns
+        self.s = s
+        self.scan_budget = scan_budget
+        self.l_star = np.zeros(len(ns), dtype=np.int64)
+        self.log_S = np.zeros(len(ns), dtype=np.float64)
+        self.done = 0
+        self.carry = -math.inf
+
+    def feed(self, Vp, V, lv, lv_next) -> bool:
+        """Scan one block; True once every threshold is resolved."""
+        s = self.s
+        logS = _log_prefix(self.carry, Vp, V, lv, s)
+        self.carry = float(logS[-1])
+        while self.done < len(self.ns):
+            n = int(self.ns[self.done])
+            active = V > n
+            if not np.any(active):
+                break
+            with np.errstate(invalid="ignore"):
+                logQ = np.where(active, np.log(np.maximum(V - n, 1).astype(np.float64)), -np.inf) - logS
+            hit = np.nonzero(active & (logQ > s * lv_next + 1e-10))[0]
+            if not len(hit):
+                break
+            self.l_star[self.done] = V[hit[0]]
+            self.log_S[self.done] = logS[hit[0]]
+            self.done += 1
+        if self.done == len(self.ns):
+            return True
+        if int(V[-1]) >= self.scan_budget:
+            raise NoThresholdError(
+                f"no threshold index up to scan budget {self.scan_budget}; "
+                "the sequence may not vanish fast enough"
+            )
+        return False
 
 
 def q_n(seq, n: int, l: int, s: float) -> float:
     """(l - n) / sum_{j<=l} Psi(j)^(-s).
 
-    Accumulates block-by-block with compensated addition, switching to
-    log-domain accumulation when the partial sums leave the float range.
+    The prefix sum is accumulated in the log domain, as in the
+    threshold scan.
 
     Raises
     ------
@@ -206,10 +241,15 @@ def q_n(seq, n: int, l: int, s: float) -> float:
         raise ValueError(f"need 0 <= n < l, got n={n}, l={l}")
     if not s > 0:
         raise ValueError(f"need s > 0, got s={s}")
-    lin, log_total = _prefix_sums(seq, int(l), float(s))
-    if lin is not None and lin > 0.0:
-        return (l - n) / lin
-    return math.exp(math.log(l - n) - log_total)
+    carry = -math.inf
+    for Vp, V, lv, _ in _blocks_with_lookahead(seq):
+        if int(V[-1]) >= l:
+            # the run containing l contributes its first l - Vp[i] positions
+            i = int(np.searchsorted(V, l, side="left"))
+            before = carry if i == 0 else float(_log_prefix(carry, Vp[:i], V[:i], lv[:i], s)[-1])
+            log_total = np.logaddexp(before, math.log(l - int(Vp[i])) - s * float(lv[i]))
+            return math.exp(math.log(l - n) - log_total)
+        carry = float(_log_prefix(carry, Vp, V, lv, s)[-1])
 
 
 def find_l_star(seq, n: int, s: float, scan_budget: int = DEFAULT_SCAN_BUDGET) -> int:
@@ -233,23 +273,93 @@ def find_l_star(seq, n: int, s: float, scan_budget: int = DEFAULT_SCAN_BUDGET) -
         raise ValueError(f"need n >= 0, got n={n}")
     if not s > 0:
         raise ValueError(f"need s > 0, got s={s}")
-    carry = -math.inf
-    for Vp, V, lv, lv_next in _blocks_with_lookahead(seq):
-        nu = (V - Vp).astype(np.float64)
-        logS = _acc_log(carry, np.log(nu) - s * lv)
-        carry = float(logS[-1])
-        active = V > n
-        if np.any(active):
-            with np.errstate(invalid="ignore"):
-                logQ = np.where(active, np.log(np.maximum(V - n, 1).astype(np.float64)), -np.inf) - logS
-            hit = np.nonzero(active & (logQ > s * lv_next + 1e-10))[0]
-            if len(hit):
-                return int(V[hit[0]])
-        if int(V[-1]) >= scan_budget:
-            raise NoThresholdError(
-                f"no threshold index up to scan budget {scan_budget}; "
-                "the sequence may not vanish fast enough"
-            )
+    thresholds = _Thresholds(np.array([int(n)], dtype=np.int64), float(s), scan_budget)
+    for block in _blocks_with_lookahead(seq):
+        if thresholds.feed(*block):
+            return int(thresholds.l_star[0])
+
+
+def _tail_terms(Vp, V, lv, l: int, s_prime: float) -> np.ndarray:
+    """Psi^s' summed over the positions past l of each run of a block."""
+    if Vp[0] >= l:
+        take, lv_taken = V - Vp, lv
+    else:
+        take = np.maximum(V - np.maximum(Vp, l), 0)
+        lv_taken = np.where(take > 0, lv, -np.inf)
+    with np.errstate(over="raise"):
+        try:
+            return take * np.exp(s_prime * lv_taken)
+        except FloatingPointError:
+            raise DivergentTailError(
+                "tail terms overflow the float range; the tail diverges"
+            ) from None
+
+
+class _TailCertifier:
+    """Certified sum over j > l of per-run tail terms, fed block by block.
+
+    See :func:`tail_sum` for the dyadic-window rule.  ``total`` and
+    ``bound`` are final once :meth:`feed` has returned True.
+    """
+
+    def __init__(self, l: int, tol: float, max_doublings: int):
+        self.tol = tol
+        self.max_doublings = max_doublings
+        self.total = _Kahan()
+        self.bound = 0.0
+        self.next_cp = 2 * max(l, 8)
+        self.carry_cum = 0.0
+        self.last_cp_cum = 0.0
+        self.prev_window: float | None = None
+        self.prev_ratio: float | None = None
+        self.bad = 0
+        self.windows = 0
+
+    def feed(self, V: np.ndarray, terms: np.ndarray) -> bool:
+        """Add one block of terms (zero before l); True once certified."""
+        pos = int(V[-1])
+        block_sum = float(np.sum(terms))
+        self.total.add(block_sum)
+        if self.next_cp > pos:
+            self.carry_cum += block_sum
+            return False
+        cums = self.carry_cum + np.cumsum(terms)
+        while self.next_cp <= pos:
+            # next target is twice this boundary, not twice the old
+            # target: two targets in one block would make an empty window
+            i = int(np.searchsorted(V, self.next_cp, side="left"))
+            cp_cum = float(cums[i])
+            window = cp_cum - self.last_cp_cum
+            self.last_cp_cum = cp_cum
+            self.windows += 1
+            if window == 0.0:
+                return True
+            if self.prev_window is not None:
+                ratio = window / self.prev_window if self.prev_window > 0.0 else math.inf
+                if ratio >= 0.999:
+                    self.bad += 1
+                    if self.bad >= 6:
+                        raise DivergentTailError(
+                            f"window sums are not decaying (latest ratio {ratio:.6g})"
+                        )
+                else:
+                    self.bad = 0
+                if self.prev_ratio is not None:
+                    rho = max(self.prev_ratio, ratio)
+                    if rho < 0.97:
+                        bound = window * rho / (1.0 - rho)
+                        if bound <= self.tol * max(self.total.total, 5e-324):
+                            self.bound = bound
+                            return True
+                self.prev_ratio = ratio
+            self.prev_window = window
+            self.next_cp = 2 * int(V[i])
+            if self.windows > self.max_doublings:
+                raise DivergentTailError(
+                    f"tail not certified to tol={self.tol} within {self.max_doublings} dyadic windows"
+                )
+        self.carry_cum = float(cums[-1])
+        return False
 
 
 def tail_sum(
@@ -257,7 +367,7 @@ def tail_sum(
     l: int,
     s_prime: float,
     tol: float = 1e-9,
-    max_doublings: int = 48,
+    max_doublings: int = MAX_DOUBLINGS,
 ) -> tuple[float, float]:
     """(value, bound) with value = sum_{j>l} Psi(j)^s' truncated so that
     the certified remainder is at most ``bound <= tol * value``.
@@ -268,7 +378,8 @@ def tail_sum(
     stays below 1 the remainder is bounded by the
     geometric series ``B * rho / (1 - rho)``.  Terms are accumulated
     largest-first (the sequence is nonincreasing) with compensated
-    addition.
+    addition.  The tail regime of :func:`h_functional_grid` runs the
+    same certification inside its threshold scan.
 
     Raises
     ------
@@ -278,66 +389,10 @@ def tail_sum(
     """
     if l < 0:
         raise ValueError(f"need l >= 0, got l={l}")
-    total = _Kahan()
-    pos = 0
-    next_cp = 2 * max(l, 8)
-    carry_cum = 0.0
-    last_cp_cum = 0.0
-    prev_window: float | None = None
-    ratios: list[float] = []
-    bad = 0
-    windows = 0
-    for V_arr, lv_arr in seq.iter_blocks():
-        V_arr = np.asarray(V_arr, dtype=np.int64)
-        Vp = np.concatenate(([pos], V_arr[:-1]))
-        pos = int(V_arr[-1])
-        start = np.maximum(Vp, l)
-        take = np.maximum(V_arr - start, 0)
-        with np.errstate(over="raise"):
-            try:
-                terms = take * np.exp(s_prime * lv_arr)
-            except FloatingPointError:
-                raise DivergentTailError(
-                    "tail terms overflow the float range; the tail diverges"
-                ) from None
-        total.add(float(np.sum(terms)))
-        cums = carry_cum + np.cumsum(terms)
-        while next_cp <= pos:
-            # next target is twice this boundary, not twice the old
-            # target: two targets in one block would make an empty window
-            i = int(np.searchsorted(V_arr, next_cp, side="left"))
-            cp_cum = float(cums[i])
-            window = cp_cum - last_cp_cum
-            last_cp_cum = cp_cum
-            windows += 1
-            if prev_window is not None:
-                if window == 0.0:
-                    return total.total, 0.0
-                ratio = window / prev_window if prev_window > 0.0 else math.inf
-                ratios.append(ratio)
-                if ratio >= 0.999:
-                    bad += 1
-                    if bad >= 6:
-                        raise DivergentTailError(
-                            f"window sums are not decaying (latest ratio {ratio:.6g})"
-                        )
-                else:
-                    bad = 0
-                if len(ratios) >= 2:
-                    rho = max(ratios[-2:])
-                    if rho < 0.97:
-                        bound = window * rho / (1.0 - rho)
-                        if bound <= tol * max(total.total, 5e-324):
-                            return total.total, bound
-            elif window == 0.0:
-                return total.total, 0.0
-            prev_window = window
-            next_cp = 2 * int(V_arr[i])
-            if windows > max_doublings:
-                raise DivergentTailError(
-                    f"tail not certified to tol={tol} within {max_doublings} dyadic windows"
-                )
-        carry_cum = float(cums[-1])
+    cert = _TailCertifier(int(l), tol, max_doublings)
+    for Vp, V, lv, _ in _blocks_with_lookahead(seq):
+        if cert.feed(V, _tail_terms(Vp, V, lv, int(l), s_prime)):
+            return cert.total.total, cert.bound
 
 
 def h_functional(
@@ -349,6 +404,23 @@ def h_functional(
 ) -> FunctionalResult:
     """H_n(Psi, s) for a nonincreasing positive sequence.
 
+    The one-n case of :func:`h_functional_grid`, which documents the
+    two regimes and the errors raised.
+    """
+    return h_functional_grid(seq, [n], s, tol=tol, scan_budget=scan_budget)[0]
+
+
+def h_functional_grid(
+    seq,
+    ns,
+    s: float,
+    tol: float = 1e-9,
+    scan_budget: int = DEFAULT_SCAN_BUDGET,
+) -> list[FunctionalResult]:
+    """H_n(Psi, s) at every n of ``ns``, from one pass over the sequence.
+
+    Results follow the order of ``ns``; repeated values are allowed.
+
     For ``s <= 1`` the supremum of h(l) = (l-n)(sum_{j<=l} Psi^(-s))^(-1/s)
     over l > n, with a certified stopping rule; when the scan budget is
     exhausted without certification (a supremum approached only in the
@@ -356,116 +428,191 @@ def h_functional(
     returned with ``l_star = None``.
 
     For ``s > 1`` the closed two-term form at the threshold index, with
-    the certified tail sum; requires sum_j Psi(j)^s' < infinity.
+    the certified tail sum; requires sum_j Psi(j)^s' < infinity.  The
+    tail bound is the one certified remainder past the largest
+    threshold, valid for every n.
 
     Raises
     ------
     ValueError
-        Unless n >= 0 and s > 0.
-    NoThresholdError, DivergentTailError
-        Propagated from the threshold scan / tail certification (s > 1).
+        Unless every n >= 0 and s > 0.
+    NoThresholdError
+        When some n has no threshold index (s > 1) or no admissible
+        l > n (s <= 1) within the scan budget.
+    DivergentTailError
+        From the tail certification (s > 1).
     """
-    if n < 0:
-        raise ValueError(f"need n >= 0, got n={n}")
+    ns = [int(n) for n in ns]
+    if any(n < 0 for n in ns):
+        raise ValueError(f"need n >= 0, got n={min(ns)}")
     if not s > 0:
         raise ValueError(f"need s > 0, got s={s}")
+    if not ns:
+        return []
+    grid = np.unique(np.array(ns, dtype=np.int64))
     if s > 1.0:
-        return _h_tail_regime(seq, int(n), float(s), tol, scan_budget)
-    return _h_sup_regime(seq, int(n), float(s), scan_budget)
+        results = _h_tail_regime(seq, grid, float(s), tol, scan_budget)
+    else:
+        results = _h_sup_regime(seq, grid, float(s), scan_budget)
+    by_n = dict(zip(grid.tolist(), results))
+    return [by_n[n] for n in ns]
 
 
-def _h_tail_regime(seq, n, s, tol, scan_budget) -> FunctionalResult:
+def _h_tail_regime(seq, ns, s, tol, scan_budget) -> list[FunctionalResult]:
     s_prime = s / (s - 1.0)
-    l_star = find_l_star(seq, n, s, scan_budget)
-    lin, logS = _prefix_sums(seq, l_star, s)
-    head_log = s_prime * math.log(l_star - n) - (s_prime / s) * logS
-    tail, bound = tail_sum(seq, l_star, s_prime, tol)
-    tail_log = math.log(tail) if tail > 0.0 else -math.inf
-    value = math.exp(np.logaddexp(head_log, tail_log) / s_prime)
-    return FunctionalResult(
-        value=value, l_star=l_star, regime="tail", tail_truncation_error_bound=bound
-    )
-
-
-def _h_sup_regime(seq, n, s, scan_budget) -> FunctionalResult:
-    inv_s = 1.0 / s
-    best_log = -math.inf
-    best_l = None
-    certified = False
-    carry = -math.inf
-    nf = float(n)
+    thresholds = _Thresholds(ns, s, scan_budget)
+    segments: list[_Kahan] = []  # Psi^s' between consecutive distinct thresholds
+    cert = None  # the certified tail past the largest threshold
     for Vp, V, lv, lv_next in _blocks_with_lookahead(seq):
-        nu = (V - Vp).astype(np.float64)
-        logw = -s * lv
-        logw_next = -s * lv_next
-        logS = _acc_log(carry, np.log(nu) + logw)
+        if cert is not None:
+            if cert.feed(V, _tail_terms(Vp, V, lv, int(ls[-1]), s_prime)):
+                break
+            continue
+        all_found = thresholds.feed(Vp, V, lv, lv_next)
+        if thresholds.done == 0:
+            continue
+        ls = np.unique(thresholds.l_star[: thresholds.done])
+        terms = _tail_terms(Vp, V, lv, int(ls[0]), s_prime)
+        # run i lies in the segment after the last threshold <= Vp[i]; the
+        # one past the largest threshold goes to the certifier once every
+        # threshold is known
+        seg = np.searchsorted(ls, Vp, side="right") - 1
+        closed = len(ls) - 1 if all_found else len(ls)
+        while len(segments) < closed:
+            segments.append(_Kahan())
+        summed = (seg >= 0) & (seg < closed)
+        if np.any(summed):
+            for acc, x in zip(segments, np.bincount(seg[summed], weights=terms[summed], minlength=closed)):
+                acc.add(float(x))
+        if all_found:
+            cert = _TailCertifier(int(ls[-1]), tol, MAX_DOUBLINGS)
+            if cert.feed(V, np.where(seg == len(ls) - 1, terms, 0.0)):
+                break
+    # tail past each threshold, smallest parts first
+    tails = np.empty(len(ls))
+    acc = _Kahan()
+    acc.add(cert.total.total)
+    tails[-1] = acc.total
+    for j in range(len(ls) - 2, -1, -1):
+        acc.add(segments[j].total)
+        tails[j] = acc.total
+    results = []
+    for n, l_star, log_S in zip(ns.tolist(), thresholds.l_star.tolist(), thresholds.log_S.tolist()):
+        head_log = s_prime * math.log(l_star - n) - (s_prime / s) * log_S
+        tail = float(tails[np.searchsorted(ls, l_star)])
+        tail_log = math.log(tail) if tail > 0.0 else -math.inf
+        value = math.exp(np.logaddexp(head_log, tail_log) / s_prime)
+        results.append(FunctionalResult(
+            value=value, l_star=l_star, regime="tail", tail_truncation_error_bound=cert.bound
+        ))
+    return results
+
+
+def _h_sup_regime(seq, ns, s, scan_budget) -> list[FunctionalResult]:
+    k = len(ns)
+    best_log = np.full(k, -math.inf)
+    best_l = np.full(k, -1, dtype=np.int64)
+    certified = np.zeros(k, dtype=bool)
+    live = np.arange(k)
+    carry = -math.inf
+    for Vp, V, lv, lv_next in _blocks_with_lookahead(seq):
+        logS = _log_prefix(carry, Vp, V, lv, s)
         logS_prev = np.concatenate(([carry], logS[:-1]))
         carry = float(logS[-1])
-
-        active = V > n
-        Vf = V.astype(np.float64)
-        Vpf = Vp.astype(np.float64)
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            g_bnd = np.where(active, np.log(np.maximum(Vf - nf, 1.0)), -np.inf) - inv_s * logS
-            cand_logs = [np.where(active, g_bnd, -np.inf)]
-            cand_pos = [Vf]
-            if s < 1.0:
-                # left edge of the admissible range within the block
-                l1 = np.maximum(Vpf, nf) + 1.0
-                in_block = active & (l1 <= Vf)
-                logS_l1 = np.logaddexp(logS_prev, np.log(np.maximum(l1 - Vpf, 1.0)) + logw)
-                g_l1 = np.where(in_block, np.log(np.maximum(l1 - nf, 1.0)) - inv_s * logS_l1, -np.inf)
-                cand_logs.append(g_l1)
-                cand_pos.append(l1)
-                # interior maximizer u* = s A / ((1-s) w), A = S_prev + (n - Vp) w
-                gap = nf - Vpf
-                log_gap_w = np.where(gap != 0.0, np.log(np.abs(gap)) + logw, -np.inf)
-                logA = np.where(
-                    gap > 0.0,
-                    np.logaddexp(logS_prev, log_gap_w),
-                    np.where(gap < 0.0, _logsub(logS_prev, log_gap_w), logS_prev),
-                )
-                log_u = math.log(s) + logA - math.log1p(-s) - logw
-                u_star = np.exp(log_u)
-                base = np.floor(nf + u_star)
-                for lc in (base, base + 1.0):
-                    lc = np.clip(lc, l1, Vf)
-                    okc = active & np.isfinite(logA) & (lc > nf) & (lc <= Vf)
-                    logS_c = np.logaddexp(logS_prev, np.log(np.maximum(lc - Vpf, 1.0)) + logw)
-                    g_c = np.where(okc, np.log(np.maximum(lc - nf, 1.0)) - inv_s * logS_c, -np.inf)
-                    cand_logs.append(g_c)
-                    cand_pos.append(lc)
-
-            stacked = np.stack(cand_logs)
-            flat = int(np.argmax(stacked))
-            if stacked.flat[flat] > best_log:
-                best_log = float(stacked.flat[flat])
-                best_l = int(np.stack(cand_pos).flat[flat])
-
-            # stopping envelope for everything beyond each boundary
-            if s == 1.0:
-                logB = -logw_next
-            else:
-                logA2 = _logsub(logS, np.log(np.maximum(Vf - nf, 1.0)) + logw_next)
-                log_u2 = math.log(s) + logA2 - math.log1p(-s) - logw_next
-                u2 = np.exp(log_u2)
-                interior = np.isfinite(logA2) & (u2 > Vf - nf)
-                logB = np.where(
-                    interior, log_u2 - inv_s * (logA2 - math.log1p(-s)), g_bnd
-                )
-            logB = np.where(active, logB, math.inf)
-
-        if np.min(logB) <= best_log:
-            certified = True
-            break
-        if int(V[-1]) >= scan_budget:
+        # n at or past the block's last boundary has nothing to do here;
+        # bounded row chunks keep the (rows x runs) arrays small
+        busy = live[ns[live] < V[-1]]
+        for i in range(0, len(busy), _SUP_ROWS):
+            rows = busy[i : i + _SUP_ROWS]
+            top, top_l, envelope = _sup_block(ns[rows], s, Vp, V, lv, lv_next, logS, logS_prev)
+            better = top > best_log[rows]
+            best_log[rows[better]] = top[better]
+            best_l[rows[better]] = top_l[better]
+            certified[rows[envelope <= best_log[rows]]] = True
+        live = live[~certified[live]]
+        if not len(live) or int(V[-1]) >= scan_budget:
             break
 
-    if best_l is None:
-        raise ValueError(f"no admissible l > n = {n} within the scan budget {scan_budget}")
-    return FunctionalResult(
-        value=math.exp(best_log),
-        l_star=best_l if certified else None,
-        regime="sup",
-        tail_truncation_error_bound=0.0,
-    )
+    if np.any(best_l < 0):
+        n = int(ns[np.argmax(best_l < 0)])
+        raise NoThresholdError(f"no admissible l > n = {n} within the scan budget {scan_budget}")
+    return [
+        FunctionalResult(
+            value=math.exp(b),
+            l_star=int(l) if c else None,
+            regime="sup",
+            tail_truncation_error_bound=0.0,
+        )
+        for b, l, c in zip(best_log.tolist(), best_l.tolist(), certified.tolist())
+    ]
+
+
+def _sup_block(ns, s, Vp, V, lv, lv_next, logS, logS_prev):
+    """Best candidate of h and the stopping envelope within one block.
+
+    Returns, per n, the largest log h among the block's candidates
+    (boundaries, the left edge of the admissible range and the integer
+    neighbours of the interior maximizer; the first maximum in
+    (candidate, run) order), its position, and the smallest bound on
+    log h beyond any boundary.  Every array is (n) x (runs), and each
+    row is computed exactly as a one-n evaluation computes it.
+    """
+    inv_s = 1.0 / s
+    logw = -s * lv
+    logw_next = -s * lv_next
+    n_col = ns[:, None]
+    nf = n_col.astype(np.float64)
+    active = V > n_col
+    Vf = V.astype(np.float64)
+    Vpf = Vp.astype(np.float64)
+    shape = active.shape
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        g_bnd = np.where(active, np.log(np.maximum(Vf - nf, 1.0)), -np.inf) - inv_s * logS
+        cand_logs = [np.where(active, g_bnd, -np.inf)]
+        cand_pos = [np.broadcast_to(Vf, shape)]
+        if s < 1.0:
+            # left edge of the admissible range within the block
+            l1 = np.maximum(Vpf, nf) + 1.0
+            in_block = active & (l1 <= Vf)
+            logS_l1 = np.logaddexp(logS_prev, np.log(np.maximum(l1 - Vpf, 1.0)) + logw)
+            g_l1 = np.where(in_block, np.log(np.maximum(l1 - nf, 1.0)) - inv_s * logS_l1, -np.inf)
+            cand_logs.append(g_l1)
+            cand_pos.append(l1)
+            # interior maximizer u* = s A / ((1-s) w), A = S_prev + (n - Vp) w
+            gap = nf - Vpf
+            log_gap_w = np.where(gap != 0.0, np.log(np.abs(gap)) + logw, -np.inf)
+            logA = np.where(
+                gap > 0.0,
+                np.logaddexp(logS_prev, log_gap_w),
+                np.where(gap < 0.0, _logsub(logS_prev, log_gap_w), logS_prev),
+            )
+            log_u = math.log(s) + logA - math.log1p(-s) - logw
+            u_star = np.exp(log_u)
+            base = np.floor(nf + u_star)
+            for lc in (base, base + 1.0):
+                lc = np.clip(lc, l1, Vf)
+                okc = active & np.isfinite(logA) & (lc > nf) & (lc <= Vf)
+                logS_c = np.logaddexp(logS_prev, np.log(np.maximum(lc - Vpf, 1.0)) + logw)
+                g_c = np.where(okc, np.log(np.maximum(lc - nf, 1.0)) - inv_s * logS_c, -np.inf)
+                cand_logs.append(g_c)
+                cand_pos.append(lc)
+
+        stacked = np.stack(cand_logs, axis=1).reshape(len(ns), -1)
+        flat = np.argmax(stacked, axis=1)[:, None]
+        top = np.take_along_axis(stacked, flat, axis=1)[:, 0]
+        positions = np.stack(cand_pos, axis=1).reshape(len(ns), -1)
+        top_l = np.take_along_axis(positions, flat, axis=1)[:, 0].astype(np.int64)
+
+        # stopping envelope for everything beyond each boundary
+        if s == 1.0:
+            logB = np.broadcast_to(-logw_next, shape)
+        else:
+            logA2 = _logsub(logS, np.log(np.maximum(Vf - nf, 1.0)) + logw_next)
+            log_u2 = math.log(s) + logA2 - math.log1p(-s) - logw_next
+            u2 = np.exp(log_u2)
+            interior = np.isfinite(logA2) & (u2 > Vf - nf)
+            logB = np.where(
+                interior, log_u2 - inv_s * (logA2 - math.log1p(-s)), g_bnd
+            )
+        logB = np.where(active, logB, math.inf)
+    return top, top_l, np.min(logB, axis=1)

@@ -29,14 +29,13 @@ from __future__ import annotations
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import lattice, trig_lp, weights
-from .approx import CoefficientSequence, FunctionClassSpec, class_best_nterm_sp, extremal_function_f1, greedy_order
-from .functionals import h_functional
+from .approx import FunctionClassSpec, class_best_nterm_sp_grid, extremal_function_f1, greedy_order
+from .functionals import h_functional_grid
 from .trig_lp import GridSpec
 from .weights import RearrangedWeight, WeightFunction
 
@@ -182,7 +181,7 @@ def ratio_window(table: RateTable) -> tuple[float, float]:
 
 
 def _greedy_witness_error(n: int, q: float, p: float, psi: WeightFunction, d: int,
-                          grid_n_factor: int = 8) -> float:
+                          budget: int | None = None) -> float:
     """L_p error of the n-term greedy approximant of the equal-coefficient
     witness on Z^d: the amplitude times the norm of the leftover
     exponential sum."""
@@ -191,9 +190,8 @@ def _greedy_witness_error(n: int, q: float, p: float, psi: WeightFunction, d: in
     rest = order[n:]
     amp = abs(next(iter(f.entries.values())))
     kmax = max(max(abs(c) for c in k) for k in f.entries)
-    N = grid_n_factor * max(kmax, 1) + 1
-    g = GridSpec(d=d, N=N)
-    return amp * trig_lp.exponential_sum_norm(rest, p, g, cube_scale=None)
+    g = GridSpec(d=d, N=trig_lp.grid_points(p, kmax, 8 * max(kmax, 1) + 1))
+    return amp * trig_lp.exponential_sum_norm(rest, p, g, cube_scale=None, budget=budget)
 
 
 def rate_table(
@@ -208,7 +206,7 @@ def rate_table(
     theorem: str | None = None,
     tol: float = 1e-8,
     scan_budget: int = 2_000_000,
-    threads: int = 1,
+    budget: int | None = None,
 ) -> RateTable:
     """Build a rate table for one quantity over an n-grid.
 
@@ -217,8 +215,12 @@ def rate_table(
     H_n(rearranged psi, s) (needs s; default tag lemma41);
     'greedy_lp_witness' computes the greedy L_p error of the
     equal-coefficient witness on Z^d (needs q, p; default tag
-    thm31_p_ge_2).  Rows are independent and evaluated concurrently
-    when threads > 1.
+    thm31_p_ge_2).  Rows come in ascending n.  The two functional
+    quantities evaluate the whole grid from one stream of the
+    rearranged weight; the witness is built and evaluated per n.
+    ``budget`` is the point budget of that stream's shell table and of
+    the witness quadrature grids (see :func:`lattice.point_budget` and
+    :func:`trig_lp.grid_budget`).
     """
     if quantity not in QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}, expected one of {QUANTITIES}")
@@ -229,35 +231,24 @@ def rate_table(
         if q is None or p is None:
             raise ValueError("class_sp needs q and p")
         theorem = theorem or "assertion41"
-        shells = lattice.shell_counts(r, d, 16)
         spec = FunctionClassSpec(q=q, r=r, psi=psi, d=d)
-
-        def compute(n):
-            return class_best_nterm_sp(spec, int(n), p, shells=shells, tol=tol, scan_budget=scan_budget).value
-
+        results = class_best_nterm_sp_grid(spec, n_arr, p, tol=tol, scan_budget=scan_budget,
+                                           budget=budget)
+        computed = np.array([res.value for res in results], dtype=np.float64)
     elif quantity == "h_functional":
         if s is None:
             raise ValueError("h_functional needs s")
         theorem = theorem or "lemma41"
-        shells = lattice.shell_counts(r, d, 16)
-
-        def compute(n):
-            rw = RearrangedWeight(psi, shells, p_power=1.0)
-            return h_functional(rw, int(n), s, tol=tol, scan_budget=scan_budget).value
-
+        rw = RearrangedWeight(psi, lattice.shell_counts(r, d, 16, budget=budget), p_power=1.0,
+                              budget=budget)
+        results = h_functional_grid(rw, n_arr, s, tol=tol, scan_budget=scan_budget)
+        computed = np.array([res.value for res in results], dtype=np.float64)
     else:
         if q is None or p is None:
             raise ValueError("greedy_lp_witness needs q and p")
         theorem = theorem or "thm31_p_ge_2"
-
-        def compute(n):
-            return _greedy_witness_error(int(n), q, p, psi, d)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            computed = np.array(list(pool.map(compute, n_arr)), dtype=np.float64)
-    else:
-        computed = np.array([compute(n) for n in n_arr], dtype=np.float64)
+        computed = np.array([_greedy_witness_error(int(n), q, p, psi, d, budget=budget)
+                             for n in n_arr], dtype=np.float64)
     predicted = np.array(
         [predicted_rate(theorem, int(n), psi, d, q=q, p=p, s=s) for n in n_arr],
         dtype=np.float64,
@@ -272,7 +263,6 @@ def rate_table(
         "s": s,
         "tol": tol,
         "scan_budget": scan_budget,
-        "threads": threads,
         "hypotheses_met": met,
         "hypotheses_note": reason,
     }

@@ -108,9 +108,26 @@ def lp_norm(f: CoefficientSequence, p: float, g: GridSpec, budget: int | None = 
     return float((np.mean(vals.ravel() ** p)) ** (1.0 / p))
 
 
+def _even_integer(p: float) -> bool:
+    return p == int(p) and int(p) % 2 == 0
+
+
 def is_exact_quadrature(f: CoefficientSequence, p: float, g: GridSpec) -> bool:
     """True when the rectangle rule is exact for this (f, p, grid)."""
-    return p == int(p) and int(p) % 2 == 0 and g.N > p * max_abs_frequency(f)
+    return _even_integer(p) and g.N > p * max_abs_frequency(f)
+
+
+def grid_points(p: float, kmax: int, other: int) -> int:
+    """Points per coordinate for the L_p rectangle rule of a polynomial
+    with max|k|_inf = kmax.
+
+    For even integer p this is ``p * kmax + 1``, the smallest N at which
+    the rule is exact; for other p, whose rectangle-rule value depends
+    on N, it is the caller's ``other``.
+    """
+    if _even_integer(p):
+        return int(p) * max(kmax, 1) + 1
+    return other
 
 
 def exponential_sum_norm(

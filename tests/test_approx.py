@@ -11,6 +11,7 @@ from nterm.approx import (
     CoefficientSequence,
     FunctionClassSpec,
     class_best_nterm_sp,
+    class_best_nterm_sp_grid,
     class_membership_norm,
     extremal_function_f1,
     greedy_order,
@@ -268,6 +269,19 @@ def test_class_best_nterm_enumerated_and_high_d_brute_force(r, d, psi, radius, n
         res = class_best_nterm_sp(spec, n, 2.0)
         assert res.regime == "sup"
         want = _brute_force_sup_class_error(psi, r, d, 1.0, 2.0, n, radius)
+        assert res.value == pytest.approx(want, rel=1e-9)
+
+
+def test_class_best_nterm_grid_brute_force(stream_count):
+    # one stream serves an unsorted grid with a repeat; rows keep its order
+    psi = WeightFunction("power", s=2.0)
+    spec = FunctionClassSpec(q=1.0, r=1.5, psi=psi, d=2)
+    ns = [16, 1, 5, 11, 5, 2]
+    results = class_best_nterm_sp_grid(spec, ns, 2.0)
+    assert len(stream_count) == 1
+    for n, res in zip(ns, results):
+        assert res.regime == "sup"
+        want = _brute_force_sup_class_error(psi, 1.5, 2, 1.0, 2.0, n, 40)
         assert res.value == pytest.approx(want, rel=1e-9)
 
 

@@ -33,7 +33,7 @@ def test_metadata_round_trips_every_flag(tmp_path, capsys):
     jpath = tmp_path / "h.json"
     argv = ["hfunc", "--psi", "power:s=2", "--n", "4", "--s", "0.5",
             "--r", "inf", "--d", "1", "--p-power", "2.0", "--tol", "1e-8",
-            "--scan-budget", "50000", "--threads", "2", "--seed", "7",
+            "--scan-budget", "50000", "--seed", "7",
             "--json-out", str(jpath)]
     assert main(argv) == 0
     capsys.readouterr()
@@ -45,7 +45,6 @@ def test_metadata_round_trips_every_flag(tmp_path, capsys):
     assert meta["p_power"] == 2.0
     assert meta["tol"] == 1e-8
     assert meta["scan_budget"] == 50000
-    assert meta["threads"] == 2
     assert meta["seed"] == 7
     assert meta["budget"] is None
 
@@ -194,3 +193,66 @@ def test_int64_overflow_exit_1_json_record(capsys):
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"]["type"] == "OverflowError"
     assert "past radius 723" in record["error"]["message"]
+
+
+def test_sup_scan_budget_exit_1_json_record(capsys):
+    for argv in (["hfunc", "--psi", "power:s=2", "--n", "100", "--s", "0.5"],
+                 ["en-class", "--psi", "power:s=2", "--q", "1", "--p", "2", "--n", "100"]):
+        assert main(argv + ["--scan-budget", "50"]) == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"]["type"] == "NoThresholdError"
+        assert "scan budget 50" in record["error"]["message"]
+
+
+def test_rates_budget_reaches_the_stream(monkeypatch, capsys):
+    monkeypatch.setenv("NTERM_BUDGET_POINTS", "400")
+    argv = ["rates", "--quantity", "class_sp", "--psi", "power:s=2", "--n-grid", "4",
+            "--q", "1", "--p", "2", "--r", "1.5", "--d", "2"]
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().err.strip())["error"]["type"] == "BudgetExceededError"
+    assert main(argv + ["--budget", "10000"]) == 0
+    assert capsys.readouterr().out.startswith("n,computed,predicted,ratio\n4,")
+
+
+def test_lemma51_even_p_grid_fits_budget(capsys):
+    # n = 4 frequencies in the d = 1 cube of side 8: max|k| <= 8, so the
+    # exact p = 4 grid has at most 33 points (2 * ceil(p) * 8 + 1 = 65 before)
+    argv = ["lemma51", "--n-grid", "4", "--p", "2,4", "--trials", "3", "--budget", "33"]
+    assert main(argv) == 0
+    rows = capsys.readouterr().out.strip().split("\n")[1:]
+    assert len(rows) == 6
+    for row in rows:
+        p, norm = float(row.split(",")[1]), float(row.split(",")[3])
+        if p == 2.0:
+            assert norm == pytest.approx(2.0, rel=1e-12)   # Parseval: sqrt(n)
+
+
+def test_en_class_one_stream_for_the_grid(stream_count, capsys):
+    argv = ["en-class", "--psi", "power:s=3", "--q", "2", "--p", "1", "--n", "64,4,16,4"]
+    assert main(argv) == 0
+    assert len(stream_count) == 1
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert [line.split(",")[0] for line in lines] == ["n", "64", "4", "16", "4"]
+    assert lines[2] == lines[4]
+
+
+def test_parser_queries_terminal_size_once(monkeypatch, capsys):
+    import shutil
+
+    from nterm.cli import build_parser
+
+    calls = []
+    original = shutil.get_terminal_size
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(shutil, "get_terminal_size", counted)
+    build_parser()
+    assert len(calls) == 1
+    monkeypatch.setenv("COLUMNS", "60")
+    assert main(["hfunc", "--help"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert max(len(line) for line in lines) <= 58
+    assert any(len(line) > 50 for line in lines)

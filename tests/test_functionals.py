@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nterm import lattice
 from nterm.functionals import (
@@ -11,6 +13,7 @@ from nterm.functionals import (
     NoThresholdError,
     find_l_star,
     h_functional,
+    h_functional_grid,
     q_n,
     tail_sum,
 )
@@ -249,3 +252,81 @@ def test_tail_regime_slow_tail_raises_typed_error():
     rw = RearrangedWeight(WeightFunction("power", s=2.0), lattice.shell_counts(math.inf, 3, 8))
     with pytest.raises(DivergentTailError):
         h_functional(rw, 5, 2.0)
+
+
+def test_sup_scan_budget_raises_typed_error():
+    # the scan stops at the first block boundary past 50, before any l > 100
+    rw = RearrangedWeight(WeightFunction("power", s=2.0), lattice.shell_counts(math.inf, 1, 8))
+    with pytest.raises(NoThresholdError, match="scan budget 50"):
+        h_functional(rw, 100, 0.5, scan_budget=50)
+    with pytest.raises(NoThresholdError, match="scan budget 50"):
+        h_functional_grid(rw, [3, 100], 0.5, scan_budget=50)
+
+
+@st.composite
+def grid_cases(draw):
+    d = draw(st.integers(1, 3))
+    r = draw(st.sampled_from([math.inf, 1.0]))
+    family = draw(st.sampled_from(["power", "powerlog", "exp"]))
+    # decay of at least 3d keeps the tail certification (s' >= 1.5) short
+    a = draw(st.floats(3.0 * d, 4.0 * d))
+    if family == "power":
+        psi = WeightFunction("power", s=a)
+    elif family == "powerlog":
+        psi = WeightFunction("powerlog", s=a, eps=draw(st.floats(-1.0, 1.0)))
+    else:
+        psi = WeightFunction("exp", R=draw(st.floats(1.5, 3.0)))
+    s = draw(st.one_of(st.just(1.0), st.floats(0.05, 3.0)))
+    pool = draw(st.lists(st.integers(0, 300), min_size=1, max_size=4))
+    ns = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+    return d, r, psi, s, ns
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid_cases())
+def test_grid_matches_one_n_evaluations(case):
+    d, r, psi, s, ns = case
+    shells = lattice.shell_counts(r, d, 8)
+    grid = h_functional_grid(RearrangedWeight(psi, shells), ns, s)
+    assert len(grid) == len(ns)
+    for n, res in zip(ns, grid):
+        one = h_functional(RearrangedWeight(psi, shells), n, s)
+        if s <= 1.0:
+            assert res == one
+        else:
+            assert res.regime == one.regime == "tail"
+            assert res.l_star == one.l_star
+            assert res.value == pytest.approx(one.value, rel=1e-9)
+            assert 0.0 <= res.tail_truncation_error_bound <= 1e-9 * res.value ** (s / (s - 1.0))
+    by_n = sorted((n, res.l_star) for n, res in zip(ns, grid) if res.l_star is not None)
+    assert all(a[1] <= b[1] for a, b in zip(by_n, by_n[1:]))
+
+
+def test_dense_sup_grid_matches_one_n_evaluations():
+    # more n values than the scan evaluates together in one row chunk
+    rw = RearrangedWeight(WeightFunction("powerlog", s=2.5, eps=0.5), lattice.shell_counts(1.0, 2, 8))
+    ns = list(range(150, 0, -2))
+    for s in (0.3, 1.0):
+        for n, res in zip(ns, h_functional_grid(rw, ns, s)):
+            assert res == h_functional(rw, n, s)
+
+
+def test_grid_tail_regime_mpmath_oracle():
+    # the same r = inf, d = 3 oracle as above, with the whole grid (unsorted,
+    # with a repeat) evaluated from one pass
+    ns = [40, 5, 12, 5]
+    rw = RearrangedWeight(WeightFunction("power", s=3.0), lattice.shell_counts(math.inf, 3, 8))
+    for n, res in zip(ns, h_functional_grid(rw, ns, 2.0)):
+        l_star, want, _ = _cube_tail_oracle(3.0, n)
+        assert res.l_star == l_star
+        assert res.value == pytest.approx(want, rel=1e-9)
+
+
+def test_one_stream_per_evaluation(stream_count):
+    rw = RearrangedWeight(WeightFunction("power", s=3.0), lattice.shell_counts(math.inf, 2, 8))
+    h_functional(rw, 20, 2.0)
+    assert len(stream_count) == 1
+    h_functional_grid(rw, [64, 4, 16, 4], 2.0)
+    assert len(stream_count) == 2
+    h_functional_grid(rw, [64, 4, 16, 4], 0.5)
+    assert len(stream_count) == 3

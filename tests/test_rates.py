@@ -130,18 +130,34 @@ def test_rate_table_flagged_for_exp_weight():
     assert t.metadata["hypotheses_note"]
 
 
-def test_rate_table_determinism_and_threads():
-    a = rate_table("class_sp", [4, 8, 16, 32], P2, 1, q=1.0, p=2.0, threads=1)
-    b = rate_table("class_sp", [4, 8, 16, 32], P2, 1, q=1.0, p=2.0, threads=1)
-    c = rate_table("class_sp", [4, 8, 16, 32], P2, 1, q=1.0, p=2.0, threads=3)
+def test_rate_table_determinism():
+    a = rate_table("class_sp", [4, 8, 16, 32], P2, 1, q=1.0, p=2.0)
+    b = rate_table("class_sp", [4, 8, 16, 32], P2, 1, q=1.0, p=2.0)
     assert a.to_csv() == b.to_csv()
-    ca, cc = a.to_csv(), c.to_csv()
-    # thread count is recorded in metadata but must not change the rows
-    assert ca == cc
-    ja, jc = json.loads(a.to_json()), json.loads(c.to_json())
-    assert ja["rows"] == jc["rows"]
-    assert ja["metadata"]["threads"] == 1
-    assert jc["metadata"]["threads"] == 3
+    assert a.to_json() == b.to_json()
+
+
+def test_rate_table_one_stream_per_grid(stream_count):
+    rate_table("class_sp", [64, 4, 16, 8], P2, 2, q=1.0, p=2.0)
+    assert len(stream_count) == 1
+    rate_table("class_sp", [64, 4, 16, 8], P2, 2, r=1.0, q=2.0, p=1.0)
+    assert len(stream_count) == 2
+    rate_table("h_functional", [64, 4, 16, 8], P2, 1, s=2.0)
+    assert len(stream_count) == 3
+
+
+def test_rate_table_budget_reaches_stream_and_grid(monkeypatch):
+    monkeypatch.setenv("NTERM_BUDGET_POINTS", "400")
+    # r = 1.5 enumerates shells: 16 radii at d = 2 need 33^2 > 400 points
+    with pytest.raises(lattice.BudgetExceededError):
+        rate_table("class_sp", [4], P2, 2, r=1.5, q=1.0, p=2.0)
+    t = rate_table("class_sp", [4], P2, 2, r=1.5, q=1.0, p=2.0, budget=10_000)
+    assert t.computed[0] > 0.0
+    # the witness at n = 8, d = 2 reaches |k|_inf = 2 (an l1 ball of radius
+    # 2): its exact p = 4 grid has 9^2 points
+    t = rate_table("greedy_lp_witness", [8], P2, 2, q=1.0, p=4.0, budget=81)
+    with pytest.raises(lattice.BudgetExceededError):
+        rate_table("greedy_lp_witness", [8], P2, 2, q=1.0, p=4.0, budget=80)
 
 
 def test_csv_and_json_formats():

@@ -14,6 +14,7 @@ from nterm.trig_lp import (
     evaluate_on_grid,
     exponential_sum_norm,
     grid_budget,
+    grid_points,
     hausdorff_young_gap,
     is_exact_quadrature,
     lp_norm,
@@ -168,6 +169,19 @@ def test_grid_budget(monkeypatch):
     monkeypatch.delenv("NTERM_BUDGET_POINTS")
     assert grid_budget() == 2**24
     assert grid_budget(override=99) == 99
+
+
+def test_grid_points_smallest_exact_grid_for_even_p():
+    f = CoefficientSequence(d=1, entries={(3,): 1.0, (-1,): 2.0})
+    for p in (2.0, 4, 6.0):
+        N = grid_points(p, 3, 99)
+        assert N == int(p) * 3 + 1
+        assert is_exact_quadrature(f, p, GridSpec(d=1, N=N))
+        assert not is_exact_quadrature(f, p, GridSpec(d=1, N=N - 1))
+    assert grid_points(4.0, 0, 99) == 5
+    # other p keep the caller's grid: their value depends on N
+    assert grid_points(3.0, 3, 99) == 99
+    assert grid_points(2.5, 3, 99) == 99
 
 
 def test_fourth_power_is_additive_energy():
