@@ -9,7 +9,6 @@ and its errors sit below the r=inf ones at every n.
 
 import math
 
-from nterm import lattice
 from nterm.approx import FunctionClassSpec, class_best_nterm_sp
 from nterm.weights import WeightFunction
 
@@ -17,7 +16,6 @@ from nterm.weights import WeightFunction
 def main():
     psi = WeightFunction("power", s=2.0)
     d = 2
-    shells = {r: lattice.shell_counts(r, d, 16) for r in (1.0, math.inf)}
     for q, p in ((1.0, 1.0), (1.0, 2.0), (2.0, 1.0)):
         print(f"q = {q:g}, p = {p:g}, d = {d}")
         print(f"  {'n':>5} {'e_n (r=1)':>14} {'e_n (r=inf)':>14} {'ratio':>8}")
@@ -25,7 +23,7 @@ def main():
             vals = {}
             for r in (1.0, math.inf):
                 spec = FunctionClassSpec(q=q, r=r, psi=psi, d=d)
-                vals[r] = class_best_nterm_sp(spec, n, p, shells=shells[r]).value
+                vals[r] = class_best_nterm_sp(spec, n, p).value
             print(f"  {n:>5} {vals[1.0]:>14.6e} {vals[math.inf]:>14.6e} "
                   f"{vals[1.0] / vals[math.inf]:>8.4f}")
         print()

@@ -28,7 +28,6 @@ from .functionals import (
     find_l_star,
     h_functional,
     h_functional_grid,
-    q_n,
     tail_sum,
 )
 from .lattice import (
@@ -101,7 +100,6 @@ __all__ = [
     "lp_norm",
     "parse_weight",
     "predicted_rate",
-    "q_n",
     "quasi_norm",
     "rate_table",
     "ratio_window",

@@ -28,8 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lattice
-from .functionals import FunctionalResult, h_functional_grid
-from .lattice import ShellDecomposition
+from .functionals import DEFAULT_SCAN_BUDGET, DEFAULT_TOL, FunctionalResult, h_functional_grid
 from .weights import RearrangedWeight, WeightFunction
 
 
@@ -155,26 +154,24 @@ def class_best_nterm_sp(
     spec: FunctionClassSpec,
     n: int,
     p: float,
-    shells: ShellDecomposition | None = None,
-    tol: float = 1e-9,
-    scan_budget: int = 1_000_000,
+    tol: float = DEFAULT_TOL,
+    scan_budget: int = DEFAULT_SCAN_BUDGET,
     budget: int | None = None,
 ) -> FunctionalResult:
     """Exact best n-term error of the class in the p-coefficient norm.
 
     The one-n case of :func:`class_best_nterm_sp_grid`.
     """
-    return class_best_nterm_sp_grid(spec, [n], p, shells=shells, tol=tol,
-                                    scan_budget=scan_budget, budget=budget)[0]
+    return class_best_nterm_sp_grid(spec, [n], p, tol=tol, scan_budget=scan_budget,
+                                    budget=budget)[0]
 
 
 def class_best_nterm_sp_grid(
     spec: FunctionClassSpec,
     ns,
     p: float,
-    shells: ShellDecomposition | None = None,
-    tol: float = 1e-9,
-    scan_budget: int = 1_000_000,
+    tol: float = DEFAULT_TOL,
+    scan_budget: int = DEFAULT_SCAN_BUDGET,
     budget: int | None = None,
 ) -> list[FunctionalResult]:
     """Exact best n-term errors of the class at every n of ``ns``.
@@ -195,10 +192,7 @@ def class_best_nterm_sp_grid(
     """
     if not p > 0:
         raise ValueError(f"need p > 0, got p={p}")
-    if shells is None:
-        shells = lattice.shell_counts(spec.r, spec.d, 16, budget=budget)
-    if shells.d != spec.d or shells.r != spec.r:
-        raise ValueError("shell decomposition does not match the class spec (r, d)")
+    shells = lattice.shell_counts(spec.r, spec.d, 16, budget=budget)
     rw = RearrangedWeight(spec.psi, shells, p_power=p, budget=budget)
     return [
         FunctionalResult(

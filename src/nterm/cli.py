@@ -5,7 +5,9 @@ greedy, lemma51, rates, check-psi.  Tabular results go to stdout as
 CSV (or to ``--out``); every command also emits a JSON document
 (``--json-out`` or stdout for scalar results) whose metadata block
 round-trips the resolved flags.  A ``--config FILE`` JSON object
-supplies defaults; explicit flags win.
+(keyed like that metadata block) supplies flags: it is parsed as if
+its ``--key value`` pairs came right after the subcommand, so explicit
+flags win and every value is validated like the flag it sets.
 
 Exit status: 0 on success, 1 on a compute error (a machine-readable
 JSON error record is written to stderr), 2 on parse or validation
@@ -21,13 +23,12 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import lattice, rates, trig_lp, weights
 from .approx import CoefficientSequence, FunctionClassSpec, class_best_nterm_sp_grid, greedy_order, greedy_remainders_sp
-from .functionals import DivergentTailError, NoThresholdError, h_functional
+from .functionals import DEFAULT_SCAN_BUDGET, DEFAULT_TOL, DivergentTailError, NoThresholdError, h_functional
 from .lattice import BudgetExceededError
 from .trig_lp import GridSpec
 from .weights import RearrangedWeight, parse_weight
@@ -35,20 +36,6 @@ from .weights import RearrangedWeight, parse_weight
 
 class CliValidationError(Exception):
     """Bad flag combination detected before any computation."""
-
-
-@dataclass
-class RunConfig:
-    """Resolved invocation: subcommand name plus its flag values."""
-
-    command: str
-    params: dict
-
-    def metadata(self) -> dict:
-        meta = {"command": self.command}
-        for key, val in sorted(self.params.items()):
-            meta[key] = _jsonable(val)
-        return meta
 
 
 def _jsonable(val):
@@ -107,9 +94,9 @@ def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON file of flag defaults (explicit flags win)")
     sub.add_argument("--budget", type=int, default=None,
                      help="override enumeration/grid point budgets (also env NTERM_BUDGET_POINTS)")
-    sub.add_argument("--scan-budget", type=int, default=1_000_000,
+    sub.add_argument("--scan-budget", type=int, default=DEFAULT_SCAN_BUDGET,
                      help="threshold-scan budget for the extremal functionals")
-    sub.add_argument("--tol", type=float, default=1e-9, help="relative tail truncation tolerance")
+    sub.add_argument("--tol", type=float, default=DEFAULT_TOL, help="relative tail truncation tolerance")
     sub.add_argument("--seed", type=int, default=0, help="RNG seed for randomized sweeps")
 
 
@@ -196,39 +183,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
     args = parser.parse_args(argv)
-    if getattr(args, "config", None):
-        try:
-            with open(args.config) as fh:
-                overrides = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CliValidationError(f"cannot read config {args.config}: {exc}")
-        if not isinstance(overrides, dict):
-            raise CliValidationError("config file must hold a JSON object")
-        defaults = {}
-        for key, val in overrides.items():
-            dest = key.replace("-", "_")
-            if isinstance(val, str):
-                if dest == "r":
-                    val = _parse_r(val)
-                elif dest == "n_grid" or (dest == "n" and args.command in ("en-class", "greedy")):
-                    val = _parse_int_list(val)
-                elif dest == "n":
-                    val = int(val)
-            defaults[dest] = val
-        # flags given explicitly on the command line beat the config file
-        explicit = _explicit_dests(argv)
-        for dest, val in defaults.items():
-            if dest not in explicit and hasattr(args, dest):
-                setattr(args, dest, val)
-    return args
-
-
-def _explicit_dests(argv: list[str]) -> set[str]:
-    dests = set()
-    for tok in argv:
-        if tok.startswith("--"):
-            dests.add(tok[2:].split("=", 1)[0].replace("-", "_"))
-    return dests
+    if not args.config:
+        return args
+    try:
+        with open(args.config) as fh:
+            config = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise CliValidationError(f"cannot read config {args.config}: {exc}")
+    if not isinstance(config, dict):
+        raise CliValidationError("config file must hold a JSON object")
+    if config.pop("command", args.command) != args.command:
+        raise CliValidationError(f"config file is for another command, not {args.command}")
+    tokens = []
+    for key, val in config.items():
+        if key.replace("-", "_") not in vars(args):
+            raise CliValidationError(f"unknown config key {key!r} for {args.command}")
+        if val is None:
+            continue
+        if isinstance(val, list):
+            val = ",".join(str(v) for v in val)
+        tokens.append(f"--{'in' if key == 'infile' else key.replace('_', '-')}={val}")
+    # right after the subcommand, so the flags given explicitly come later and win
+    at = argv.index(args.command) + 1
+    return parser.parse_args(argv[:at] + tokens + argv[at:])
 
 
 _REQUIRED = {
@@ -250,26 +227,9 @@ def _validate_required(args: argparse.Namespace) -> None:
         raise CliValidationError(f"missing required flags for {args.command}: {flags}")
 
 
-def _as_int_list(val) -> list[int]:
-    if isinstance(val, int):
-        return [val]
-    return [int(v) for v in val]
-
-
-def _as_float_list(val) -> list[float]:
-    if isinstance(val, (int, float)):
-        return [float(val)]
-    return [float(v) for v in val]
-
-
-def _run_config(args: argparse.Namespace) -> RunConfig:
-    params = {k: v for k, v in vars(args).items() if k != "command"}
-    return RunConfig(command=args.command, params=params)
-
-
-def _emit(cfg: RunConfig, csv_text: str | None, result: dict, args) -> None:
-    doc = json.dumps({"metadata": cfg.metadata(), "result": _jsonable(result)},
-                     sort_keys=True)
+def _emit(args, csv_text: str | None, result: dict) -> None:
+    metadata = {key: _jsonable(val) for key, val in vars(args).items()}
+    doc = json.dumps({"metadata": metadata, "result": _jsonable(result)}, sort_keys=True)
     if csv_text is not None:
         if args.out:
             with open(args.out, "w") as fh:
@@ -283,7 +243,7 @@ def _emit(cfg: RunConfig, csv_text: str | None, result: dict, args) -> None:
         sys.stdout.write(doc + "\n")
 
 
-def _cmd_shells(args, cfg: RunConfig) -> int:
+def _cmd_shells(args) -> int:
     if args.d < 1 or args.m_max < 1:
         raise CliValidationError("need d >= 1 and m-max >= 1")
     sd = lattice.shell_counts(args.r, args.d, args.m_max, budget=args.budget)
@@ -291,11 +251,11 @@ def _cmd_shells(args, cfg: RunConfig) -> int:
     nu, V = sd.nu.tolist(), sd.V.tolist()
     csv_text = "m,nu,V\n" + "".join(f"{m},{a},{b}\n" for m, (a, b) in enumerate(zip(nu, V)))
     result = {"nu": nu, "V": V, "fit": dataclasses.asdict(fit)}
-    _emit(cfg, csv_text, result, args)
+    _emit(args, csv_text, result)
     return 0
 
 
-def _cmd_hfunc(args, cfg: RunConfig) -> int:
+def _cmd_hfunc(args) -> int:
     psi = parse_weight(args.psi)
     if args.d < 1:
         raise CliValidationError("need d >= 1")
@@ -308,35 +268,32 @@ def _cmd_hfunc(args, cfg: RunConfig) -> int:
         "regime": res.regime,
         "tail_truncation_error_bound": res.tail_truncation_error_bound,
     }
-    _emit(cfg, None, result, args)
+    _emit(args, None, result)
     return 0
 
 
-def _cmd_en_class(args, cfg: RunConfig) -> int:
+def _cmd_en_class(args) -> int:
     psi = parse_weight(args.psi)
     spec = FunctionClassSpec(q=args.q, r=args.r, psi=psi, d=args.d)
-    shells = lattice.shell_counts(args.r, args.d, 8, budget=args.budget)
-    ns = _as_int_list(args.n)
-    results = class_best_nterm_sp_grid(spec, ns, args.p, shells=shells, tol=args.tol,
+    results = class_best_nterm_sp_grid(spec, args.n, args.p, tol=args.tol,
                                        scan_budget=args.scan_budget, budget=args.budget)
-    rows = [(n, res.value, res.l_star, res.regime) for n, res in zip(ns, results)]
+    rows = [(n, res.value, res.l_star, res.regime) for n, res in zip(args.n, results)]
     buf = ["n,en"] + [f"{n},{v:.17g}" for n, v, _, _ in rows]
     csv_text = "\n".join(buf) + "\n"
     result = {"rows": [
         {"n": n, "en": v, "l_star": l, "regime": reg} for n, v, l, reg in rows
     ]}
-    _emit(cfg, csv_text, result, args)
+    _emit(args, csv_text, result)
     return 0
 
 
-def _cmd_greedy(args, cfg: RunConfig) -> int:
+def _cmd_greedy(args) -> int:
     try:
         with open(args.infile) as fh:
             f = CoefficientSequence.from_json(fh.read())
     except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         raise CliValidationError(f"cannot read coefficient file {args.infile}: {exc}")
-    ns = _as_int_list(args.n)
-    rows = list(zip(ns, greedy_remainders_sp(f, ns, args.p)))
+    rows = list(zip(args.n, greedy_remainders_sp(f, args.n, args.p)))
     order = greedy_order(f)
     buf = ["n,remainder"] + [f"{n},{v:.17g}" for n, v in rows]
     csv_text = "\n".join(buf) + "\n"
@@ -344,18 +301,17 @@ def _cmd_greedy(args, cfg: RunConfig) -> int:
         "rows": [{"n": n, "remainder": v} for n, v in rows],
         "order": [list(k) for k in order],
     }
-    _emit(cfg, csv_text, result, args)
+    _emit(args, csv_text, result)
     return 0
 
 
-def _cmd_lemma51(args, cfg: RunConfig) -> int:
-    if args.d < 1 or args.trials < 1:
-        raise CliValidationError("need d >= 1 and trials >= 1")
+def _cmd_lemma51(args) -> int:
+    if args.d < 1 or args.trials < 1 or min(args.n_grid) < 1:
+        raise CliValidationError("need d >= 1, trials >= 1 and every n >= 1")
     rng = np.random.default_rng(args.seed)
-    p_list = _as_float_list(args.p)
     buf = ["n,p,trial,norm,ratio"]
     rows = []
-    for n in _as_int_list(args.n_grid):
+    for n in args.n_grid:
         side = max(1, int(math.ceil(args.cube_scale * n ** (1.0 / args.d))))
         box = 2 * side + 1
         if box ** args.d < n:
@@ -370,7 +326,7 @@ def _cmd_lemma51(args, cfg: RunConfig) -> int:
                     k.append(rem - side)
                 gamma.append(tuple(k))
             kmax = max(max(abs(c) for c in k) for k in gamma)
-            for p in p_list:
+            for p in args.p:
                 N = trig_lp.grid_points(p, kmax, int(2 * math.ceil(p) * max(kmax, 1) + 1))
                 g = GridSpec(d=args.d, N=N)
                 val = trig_lp.exponential_sum_norm(gamma, p, g, cube_scale=None,
@@ -379,15 +335,15 @@ def _cmd_lemma51(args, cfg: RunConfig) -> int:
                 rows.append({"n": n, "p": p, "trial": trial, "norm": val, "ratio": ratio})
                 buf.append(f"{n},{p:g},{trial},{val:.17g},{ratio:.17g}")
     csv_text = "\n".join(buf) + "\n"
-    _emit(cfg, csv_text, {"rows": rows}, args)
+    _emit(args, csv_text, {"rows": rows})
     return 0
 
 
-def _cmd_rates(args, cfg: RunConfig) -> int:
+def _cmd_rates(args) -> int:
     psi = parse_weight(args.psi)
     table = rates.rate_table(
         args.quantity,
-        _as_int_list(args.n_grid),
+        args.n_grid,
         psi,
         args.d,
         r=args.r,
@@ -402,11 +358,11 @@ def _cmd_rates(args, cfg: RunConfig) -> int:
     k1, k2 = rates.ratio_window(table)
     result = json.loads(table.to_json())
     result["ratio_window"] = {"K1": k1, "K2": k2}
-    _emit(cfg, table.to_csv(), result, args)
+    _emit(args, table.to_csv(), result)
     return 0
 
 
-def _cmd_check_psi(args, cfg: RunConfig) -> int:
+def _cmd_check_psi(args) -> int:
     psi = parse_weight(args.psi)
     report = {"class_b": dataclasses.asdict(weights.check_class_b(psi))}
     report["convexity_evidence"] = weights.convexity_evidence(psi)
@@ -414,7 +370,7 @@ def _cmd_check_psi(args, cfg: RunConfig) -> int:
     if args.s is not None:
         report["decay"] = dataclasses.asdict(
             weights.check_decay_condition(psi, args.s, args.d))
-    _emit(cfg, None, report, args)
+    _emit(args, None, report)
     return 0
 
 
@@ -444,9 +400,8 @@ def main(argv: list[str] | None = None) -> int:
     except CliValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    cfg = _run_config(args)
     try:
-        return _COMMANDS[args.command](args, cfg)
+        return _COMMANDS[args.command](args)
     except (CliValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

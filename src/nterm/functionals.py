@@ -35,15 +35,14 @@ In the supremum regime each n keeps its own candidates and stopping
 envelope, evaluated for all live n at once, and freezes when its own
 certification holds.
 
-Sequences enter through a small duck-typed protocol: ``value(j)``,
-``values(j_array)``, ``log_value(j)``, ``log_values(j_array)`` and
-``iter_blocks()`` yielding ``(boundaries, log_values)`` arrays of
-constant-value runs; the functionals call ``iter_blocks()`` once per
-evaluation, without arguments, and stop consuming as soon as they are
-done.  ``weights.RearrangedWeight`` implements it shell-wise, with
-blocks that start at 16 shells and double up to 4096, so the shell
+Sequences enter through one duck-typed protocol: ``iter_blocks()``,
+called without arguments, yields ``(boundaries, log_values)`` arrays of
+constant-value runs, where boundaries are cumulative positions.  The
+functionals call it once per evaluation and stop consuming as soon as
+they are done.  ``weights.RearrangedWeight`` implements it shell-wise,
+with blocks that start at 16 shells and double up to 4096, so the shell
 table grows only as far as a scan reads; :class:`ExplicitSequence`
-wraps an arbitrary callable with runs of length one.
+wraps an arbitrary callable with runs of length one, 4096 per block.
 
 Prefix sums ``S(l)`` are accumulated in the log domain (``logaddexp``),
 so fast-decaying weights, where ``Psi(j)^(-s)`` overflows, stay usable;
@@ -59,8 +58,8 @@ from typing import Callable
 
 import numpy as np
 
-_CHUNK = 4096
 DEFAULT_SCAN_BUDGET = 1_000_000
+DEFAULT_TOL = 1e-9
 MAX_DOUBLINGS = 48
 _SUP_ROWS = 32  # n values evaluated together by the sup-regime scan
 
@@ -101,27 +100,16 @@ class ExplicitSequence:
         self.fn = fn
         self.log_fn = log_fn
 
-    def values(self, j) -> np.ndarray:
-        return np.asarray(self.fn(np.asarray(j, dtype=np.int64)), dtype=np.float64)
-
-    def value(self, j) -> float:
-        return float(self.values(j))
-
-    def log_values(self, j) -> np.ndarray:
-        j_arr = np.asarray(j, dtype=np.int64)
-        if self.log_fn is not None:
-            return np.asarray(self.log_fn(j_arr), dtype=np.float64)
-        return np.log(self.values(j_arr))
-
-    def log_value(self, j) -> float:
-        return float(self.log_values(j))
-
-    def iter_blocks(self, chunk: int = _CHUNK):
+    def iter_blocks(self):
         j0 = 1
         while True:
-            j_arr = np.arange(j0, j0 + chunk, dtype=np.int64)
-            yield j_arr, self.log_values(j_arr)
-            j0 += chunk
+            j_arr = np.arange(j0, j0 + 4096, dtype=np.int64)
+            if self.log_fn is not None:
+                lv = self.log_fn(j_arr)
+            else:
+                lv = np.log(np.asarray(self.fn(j_arr), dtype=np.float64))
+            yield j_arr, np.asarray(lv, dtype=np.float64)
+            j0 += 4096
 
 
 class _Kahan:
@@ -185,7 +173,7 @@ class _Thresholds:
 
     Fed the lookahead blocks in order; ``l_star[i]`` and ``log_S[i]``
     (log of the prefix sum at it) are valid for ``i < done``.  Since
-    the predicate ``q_n(l) > Psi(l+1)^s`` holding for n implies it for
+    the predicate ``q(l) > Psi(l+1)^s`` holding for n implies it for
     every smaller n, the thresholds resolve in ascending n.
     """
 
@@ -226,32 +214,6 @@ class _Thresholds:
         return False
 
 
-def q_n(seq, n: int, l: int, s: float) -> float:
-    """(l - n) / sum_{j<=l} Psi(j)^(-s).
-
-    The prefix sum is accumulated in the log domain, as in the
-    threshold scan.
-
-    Raises
-    ------
-    ValueError
-        Unless 0 <= n < l and s > 0.
-    """
-    if n < 0 or l <= n:
-        raise ValueError(f"need 0 <= n < l, got n={n}, l={l}")
-    if not s > 0:
-        raise ValueError(f"need s > 0, got s={s}")
-    carry = -math.inf
-    for Vp, V, lv, _ in _blocks_with_lookahead(seq):
-        if int(V[-1]) >= l:
-            # the run containing l contributes its first l - Vp[i] positions
-            i = int(np.searchsorted(V, l, side="left"))
-            before = carry if i == 0 else float(_log_prefix(carry, Vp[:i], V[:i], lv[:i], s)[-1])
-            log_total = np.logaddexp(before, math.log(l - int(Vp[i])) - s * float(lv[i]))
-            return math.exp(math.log(l - n) - log_total)
-        carry = float(_log_prefix(carry, Vp, V, lv, s)[-1])
-
-
 def find_l_star(seq, n: int, s: float, scan_budget: int = DEFAULT_SCAN_BUDGET) -> int:
     """Threshold index: the last maximizer of l -> q(l) over l > n.
 
@@ -271,8 +233,8 @@ def find_l_star(seq, n: int, s: float, scan_budget: int = DEFAULT_SCAN_BUDGET) -
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got n={n}")
-    if not s > 0:
-        raise ValueError(f"need s > 0, got s={s}")
+    if not 0.0 < s < math.inf:
+        raise ValueError(f"need finite s > 0, got s={s}")
     thresholds = _Thresholds(np.array([int(n)], dtype=np.int64), float(s), scan_budget)
     for block in _blocks_with_lookahead(seq):
         if thresholds.feed(*block):
@@ -308,8 +270,7 @@ class _TailCertifier:
         self.total = _Kahan()
         self.bound = 0.0
         self.next_cp = 2 * max(l, 8)
-        self.carry_cum = 0.0
-        self.last_cp_cum = 0.0
+        self.window = 0.0  # terms since the last checkpoint
         self.prev_window: float | None = None
         self.prev_ratio: float | None = None
         self.bad = 0
@@ -321,16 +282,17 @@ class _TailCertifier:
         block_sum = float(np.sum(terms))
         self.total.add(block_sum)
         if self.next_cp > pos:
-            self.carry_cum += block_sum
+            self.window += block_sum
             return False
-        cums = self.carry_cum + np.cumsum(terms)
+        start = 0
         while self.next_cp <= pos:
             # next target is twice this boundary, not twice the old
             # target: two targets in one block would make an empty window
             i = int(np.searchsorted(V, self.next_cp, side="left"))
-            cp_cum = float(cums[i])
-            window = cp_cum - self.last_cp_cum
-            self.last_cp_cum = cp_cum
+            # summed from its own terms: a difference of running totals
+            # reads 0 once the terms fall below eps times the total
+            window = self.window + float(np.sum(terms[start : i + 1]))
+            self.window, start = 0.0, i + 1
             self.windows += 1
             if window == 0.0:
                 return True
@@ -358,7 +320,7 @@ class _TailCertifier:
                 raise DivergentTailError(
                     f"tail not certified to tol={self.tol} within {self.max_doublings} dyadic windows"
                 )
-        self.carry_cum = float(cums[-1])
+        self.window = float(np.sum(terms[start:]))
         return False
 
 
@@ -366,7 +328,7 @@ def tail_sum(
     seq,
     l: int,
     s_prime: float,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
     max_doublings: int = MAX_DOUBLINGS,
 ) -> tuple[float, float]:
     """(value, bound) with value = sum_{j>l} Psi(j)^s' truncated so that
@@ -389,6 +351,8 @@ def tail_sum(
     """
     if l < 0:
         raise ValueError(f"need l >= 0, got l={l}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"need finite tol > 0, got tol={tol}")
     cert = _TailCertifier(int(l), tol, max_doublings)
     for Vp, V, lv, _ in _blocks_with_lookahead(seq):
         if cert.feed(V, _tail_terms(Vp, V, lv, int(l), s_prime)):
@@ -399,7 +363,7 @@ def h_functional(
     seq,
     n: int,
     s: float,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
     scan_budget: int = DEFAULT_SCAN_BUDGET,
 ) -> FunctionalResult:
     """H_n(Psi, s) for a nonincreasing positive sequence.
@@ -414,7 +378,7 @@ def h_functional_grid(
     seq,
     ns,
     s: float,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
     scan_budget: int = DEFAULT_SCAN_BUDGET,
 ) -> list[FunctionalResult]:
     """H_n(Psi, s) at every n of ``ns``, from one pass over the sequence.
@@ -435,7 +399,7 @@ def h_functional_grid(
     Raises
     ------
     ValueError
-        Unless every n >= 0 and s > 0.
+        Unless every n >= 0, s is finite and > 0, and tol is finite and > 0.
     NoThresholdError
         When some n has no threshold index (s > 1) or no admissible
         l > n (s <= 1) within the scan budget.
@@ -445,8 +409,10 @@ def h_functional_grid(
     ns = [int(n) for n in ns]
     if any(n < 0 for n in ns):
         raise ValueError(f"need n >= 0, got n={min(ns)}")
-    if not s > 0:
-        raise ValueError(f"need s > 0, got s={s}")
+    if not 0.0 < s < math.inf:
+        raise ValueError(f"need finite s > 0, got s={s}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"need finite tol > 0, got tol={tol}")
     if not ns:
         return []
     grid = np.unique(np.array(ns, dtype=np.int64))

@@ -21,7 +21,7 @@ from itertools import product
 
 import numpy as np
 
-DEFAULT_POINT_BUDGET = 10_000_000
+DEFAULT_POINT_BUDGET = 2**24
 
 _CEIL_SNAP = 1e-9
 
@@ -31,7 +31,7 @@ class BudgetExceededError(RuntimeError):
 
 
 def point_budget(override: int | None = None) -> int:
-    """Enumeration budget in lattice points.
+    """Point budget of lattice enumeration, shell tables and quadrature grids.
 
     Resolution order: explicit ``override`` argument, then the
     ``NTERM_BUDGET_POINTS`` environment variable, then the module default.

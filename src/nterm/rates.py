@@ -35,7 +35,7 @@ import numpy as np
 
 from . import lattice, trig_lp, weights
 from .approx import FunctionClassSpec, class_best_nterm_sp_grid, extremal_function_f1, greedy_order
-from .functionals import h_functional_grid
+from .functionals import DEFAULT_SCAN_BUDGET, DEFAULT_TOL, h_functional_grid
 from .trig_lp import GridSpec
 from .weights import RearrangedWeight, WeightFunction
 
@@ -204,8 +204,8 @@ def rate_table(
     p: float | None = None,
     s: float | None = None,
     theorem: str | None = None,
-    tol: float = 1e-8,
-    scan_budget: int = 2_000_000,
+    tol: float = DEFAULT_TOL,
+    scan_budget: int = DEFAULT_SCAN_BUDGET,
     budget: int | None = None,
 ) -> RateTable:
     """Build a rate table for one quantity over an n-grid.
@@ -219,8 +219,9 @@ def rate_table(
     quantities evaluate the whole grid from one stream of the
     rearranged weight; the witness is built and evaluated per n.
     ``budget`` is the point budget of that stream's shell table and of
-    the witness quadrature grids (see :func:`lattice.point_budget` and
-    :func:`trig_lp.grid_budget`).
+    the witness quadrature grids (see :func:`lattice.point_budget`).
+    ``tol`` and ``scan_budget`` default to the functionals' own
+    defaults and go to every functional evaluation.
     """
     if quantity not in QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}, expected one of {QUANTITIES}")

@@ -19,24 +19,13 @@ divisible by N.  Other p report a plain Riemann sum;
 
 from __future__ import annotations
 
-import math
-import os
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .approx import CoefficientSequence, sp_norm
-from .lattice import BudgetExceededError
-
-DEFAULT_GRID_BUDGET = 2**24
-
-
-def grid_budget(override: int | None = None) -> int:
-    """Grid-point budget (env NTERM_BUDGET_POINTS overrides the default)."""
-    if override is not None:
-        return int(override)
-    return int(os.environ.get("NTERM_BUDGET_POINTS", DEFAULT_GRID_BUDGET))
+from .lattice import BudgetExceededError, point_budget
 
 
 @dataclass(frozen=True)
@@ -76,13 +65,13 @@ def evaluate_on_grid(f: CoefficientSequence, g: GridSpec, budget: int | None = N
     Raises
     ------
     BudgetExceededError
-        If N^d exceeds the grid budget.
+        If N^d exceeds the point budget (see :func:`lattice.point_budget`).
     ValueError
         On dimension mismatch.
     """
     if f.d != g.d:
         raise ValueError(f"dimension mismatch: f.d={f.d}, grid d={g.d}")
-    limit = grid_budget(budget)
+    limit = point_budget(budget)
     if g.total_points > limit:
         raise BudgetExceededError(f"grid needs {g.total_points} points, budget is {limit}")
     C = np.zeros((g.N,) * g.d, dtype=np.complex128)

@@ -21,14 +21,15 @@ the decay condition ``sup alpha < s' / d`` with ``s' = s/(s-1)``.
 
 A :class:`RearrangedWeight` is the nonincreasing rearrangement of
 ``{psi(|k|_r) : k in Z^d}`` as a step sequence on j = 1, 2, ...: the
-value on shell m (positions V_{m-1} < j <= V_m) is ``psi(m)^p_power``,
-located lazily by binary search over cumulative shell counts.
+value on shell m (positions V_{m-1} < j <= V_m) is ``psi(m)^p_power``.
+It is read only as a stream of shell blocks (``iter_blocks()``), whose
+shell table grows as far as the stream is consumed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -321,33 +322,9 @@ class RearrangedWeight:
     p_power: float = 1.0
     budget: int | None = None
 
-    def _ensure_cover(self, j: int) -> None:
-        while int(self.shells.V[-1]) < j:
-            self.shells = self.shells.extended(max(2 * self.shells.m_max, 4), budget=self.budget)
-
-    def shell_of(self, j) -> np.ndarray:
-        """Shell index m with V_{m-1} < j <= V_m, vectorized over j >= 1."""
-        j_arr = np.asarray(j, dtype=np.int64)
-        if np.any(j_arr < 1):
-            raise ValueError("rearrangement positions start at j = 1")
-        self._ensure_cover(int(j_arr.max()))
-        return np.searchsorted(self.shells.V, j_arr, side="left")
-
-    def value(self, j) -> float:
-        m = self.shell_of(j)
-        out = self.psi(np.maximum(m, 1)) ** self.p_power
-        return out if np.ndim(out) else float(out)
-
-    def values(self, j) -> np.ndarray:
-        return np.asarray(self.value(j), dtype=np.float64)
-
-    def log_value(self, j):
-        m = self.shell_of(j)
-        out = self.p_power * self.psi.log_value(np.maximum(m, 1))
-        return out if np.ndim(out) else float(out)
-
-    def log_values(self, j) -> np.ndarray:
-        return np.asarray(self.log_value(j), dtype=np.float64)
+    def __post_init__(self):
+        if not 0.0 < self.p_power < math.inf:
+            raise ValueError(f"need finite p_power > 0, got p_power={self.p_power}")
 
     def iter_blocks(self):
         """Yield (boundaries, log values) for successive blocks of shells.

@@ -9,6 +9,7 @@ import math
 import time
 
 import numpy as np
+from conftest import stream_runs
 
 from nterm import lattice
 from nterm.approx import (
@@ -43,8 +44,8 @@ def test_criterion_01_rearrangement_oracle():
             norms = np.array([lattice.quasi_norm(k, r) for k in pts])
             for psi in (P1, P2, PL):
                 want = np.sort(psi(norms))[::-1]
-                rw = RearrangedWeight(psi, lattice.shell_counts(r, d, 20))
-                got = rw.values(np.arange(1, len(pts) + 1))
+                m, _ = stream_runs(RearrangedWeight(psi, lattice.shell_counts(r, d, 20)), len(pts))
+                got = psi(np.maximum(m, 1))
                 assert np.array_equal(got, want)
                 checked += 1
     elapsed = time.perf_counter() - t0
@@ -103,7 +104,7 @@ def test_criterion_03_unimodality_and_l_star():
         n = int(rng.integers(4, 65))
         s = float(rng.uniform(1.1, 4.0))
         rw = RearrangedWeight(psi, lattice.shell_counts(r, d, 8))
-        log_terms = -s * rw.log_values(np.arange(1, L + 1))
+        log_terms = -s * stream_runs(rw, L)[1]
         logS = np.logaddexp.accumulate(log_terms)
         with np.errstate(divide="ignore"):
             logq = np.where(j > n, np.log(np.maximum(j - n, 1e-300)), -np.inf) - logS
@@ -242,14 +243,12 @@ def test_criterion_07_class_error_order_window_and_embedding():
     ns = [2**i for i in range(4, 13)]
     worst = 0.0
     for d in (1, 2):
-        shells = {r: lattice.shell_counts(r, d, 16) for r in (1.0, math.inf)}
         for q, p in ((1.0, 1.0), (1.0, 2.0), (2.0, 1.0)):
             values = {}
             for r in (1.0, math.inf):
                 spec = FunctionClassSpec(q=q, r=r, psi=P2, d=d)
                 vals = [
-                    class_best_nterm_sp(spec, n, p, shells=shells[r],
-                                        tol=1e-9, scan_budget=2_000_000).value
+                    class_best_nterm_sp(spec, n, p, tol=1e-9, scan_budget=2_000_000).value
                     for n in ns
                 ]
                 values[r] = vals

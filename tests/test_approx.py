@@ -181,7 +181,7 @@ def test_class_best_nterm_matches_functional_wrapper():
     psi = WeightFunction("power", s=3.0)
     shells = lattice.shell_counts(1.0, 2, 16)
     spec = FunctionClassSpec(q=2.0, r=1.0, psi=psi, d=2)
-    res = class_best_nterm_sp(spec, 5, 1.0, shells=shells, tol=1e-9)
+    res = class_best_nterm_sp(spec, 5, 1.0, tol=1e-9)
     base = h_functional(RearrangedWeight(psi, shells, p_power=1.0), 5, 2.0, tol=1e-9)
     assert res.value == pytest.approx(base.value, rel=1e-15)
     assert res.l_star == base.l_star
@@ -209,9 +209,6 @@ def test_class_best_nterm_validation():
     spec = FunctionClassSpec(q=1.0, r=math.inf, psi=psi, d=1)
     with pytest.raises(ValueError):
         class_best_nterm_sp(spec, 1, 0.0)
-    wrong = lattice.shell_counts(1.0, 2, 8)
-    with pytest.raises(ValueError):
-        class_best_nterm_sp(spec, 1, 1.0, shells=wrong)
 
 
 def test_extremal_f1_support_and_membership():

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -133,6 +134,72 @@ def test_config_file_merge(tmp_path, capsys):
     assert main(["hfunc", "--config", str(bad), "--psi", "power:s=2",
                  "--n", "4", "--s", "0.5"]) == 2
     capsys.readouterr()
+
+
+def test_config_values_parse_like_flags(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"psi": "power:s=2", "n": "4", "s": "0.5", "d": "1", "r": "inf"}))
+    assert main(["hfunc", "--config", str(cfg)]) == 0
+    meta = json.loads(capsys.readouterr().out)["metadata"]
+    assert (meta["n"], meta["s"], meta["d"], meta["r"]) == (4, 0.5, 1, "inf")
+
+    cfg.write_text(json.dumps({"psi": "power:s=2", "n": "4.5", "s": 0.5}))
+    assert main(["hfunc", "--config", str(cfg)]) == 2
+    assert "--n" in capsys.readouterr().err
+
+    cfg.write_text(json.dumps({"psi": "power:s=2", "n": 4, "s": 0.5, "tolerance": 1e-3}))
+    assert main(["hfunc", "--config", str(cfg)]) == 2
+    assert "tolerance" in capsys.readouterr().err
+
+    cfg.write_text(json.dumps({"command": "rates", "psi": "power:s=2", "n": 4, "s": 0.5}))
+    assert main(["hfunc", "--config", str(cfg)]) == 2
+    capsys.readouterr()
+
+
+def test_config_explicit_flag_wins(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"psi": "power:s=2", "q": 1, "p": 2, "n": [2, 8], "tol": 1e-3}))
+    assert main(["en-class", "--config", str(cfg), "--n", "4", "--tol", "1e-7"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("n,en\n4,") and out.count("\n") == 2
+    assert main(["en-class", "--config", str(cfg), "--n", "4", "--tol=1e-7", "--json-out",
+                 str(tmp_path / "e.json")]) == 0
+    capsys.readouterr()
+    assert json.loads((tmp_path / "e.json").read_text())["metadata"]["tol"] == 1e-7
+
+
+@pytest.mark.parametrize("argv", [
+    ["rates", "--quantity", "class_sp", "--psi", "power:s=2", "--n-grid", "4,16",
+     "--q", "2", "--p", "1", "--r", "1", "--d", "2", "--tol", "1e-10"],
+    ["lemma51", "--n-grid", "8,16", "--p", "2,3", "--trials", "2", "--seed", "5"],
+    ["hfunc", "--psi", "exp:R=1.5", "--n", "7", "--s", "2", "--p-power", "1.5"],
+])
+def test_metadata_block_as_config_reproduces_result(argv, tmp_path, capsys):
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(argv + ["--json-out", str(first)]) == 0
+    capsys.readouterr()
+    doc = json.loads(first.read_text())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc["metadata"]))
+    assert main([argv[0], "--config", str(cfg), "--json-out", str(second)]) == 0
+    capsys.readouterr()
+    again = json.loads(second.read_text())
+    assert json.dumps(again["result"]) == json.dumps(doc["result"])
+
+
+@pytest.mark.parametrize("argv, limit", [
+    (["hfunc", "--psi", "power:s=2", "--n", "4", "--s", "0.5", "--p-power", "0"], "p_power > 0"),
+    (["hfunc", "--psi", "power:s=2", "--n", "4", "--s", "0.5", "--p-power", "-1"], "p_power > 0"),
+    (["hfunc", "--psi", "power:s=2", "--n", "4", "--s", "inf"], "finite s > 0"),
+    (["hfunc", "--psi", "power:s=2", "--n", "3", "--s", "2", "--tol", "0"], "tol > 0"),
+    (["hfunc", "--psi", "power:s=2", "--n", "3", "--s", "2", "--tol", "-1"], "tol > 0"),
+    (["lemma51", "--n-grid", "0", "--p", "2"], "n >= 1"),
+])
+def test_invalid_inputs_exit_2_naming_the_limit(argv, limit, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    assert limit in capsys.readouterr().err
 
 
 def test_rates_rerun_byte_identical(tmp_path, capsys):

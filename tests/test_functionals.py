@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from conftest import stream_runs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +15,6 @@ from nterm.functionals import (
     find_l_star,
     h_functional,
     h_functional_grid,
-    q_n,
     tail_sum,
 )
 from nterm.weights import RearrangedWeight, WeightFunction
@@ -26,16 +26,6 @@ def geometric(base: float) -> ExplicitSequence:
 
 def power_seq(sigma: float) -> ExplicitSequence:
     return ExplicitSequence(lambda j: j ** -sigma, log_fn=lambda j: -sigma * np.log(j))
-
-
-def test_q_n_frozen():
-    ones = ExplicitSequence(lambda j: np.ones_like(np.asarray(j, dtype=float)))
-    assert q_n(ones, 0, 5, 1.0) == pytest.approx(1.0)
-    assert q_n(ones, 5, 10, 1.0) == pytest.approx(0.5)
-    # Psi = 2^-j, s = 1: sum of Psi^-1 up to l is 2^(l+1) - 2
-    g = geometric(0.5)
-    assert q_n(g, 1, 3, 1.0) == pytest.approx(2 / 14)
-    assert q_n(g, 0, 2, 2.0) == pytest.approx(2 / 20)
 
 
 def test_find_l_star_tie_goes_right():
@@ -104,6 +94,28 @@ def test_tail_sum_rearranged_zeta():
     value, bound = tail_sum(rw, 3, 2.0, tol=1e-10)
     want = float(2 * (mpmath.zeta(4) - 1))
     assert value == pytest.approx(want, rel=1e-9)
+
+
+def test_tail_bound_covers_remainder_at_tight_tol():
+    # at tol = 1e-15 the windows fall below eps times the running total;
+    # each is summed from its own terms, so the bound stays positive
+    value, bound = tail_sum(power_seq(4.0), 10, 1.0, tol=1e-15)
+    with mpmath.workdps(40):
+        remainder = float(mpmath.zeta(4, 11) - mpmath.mpf(value))
+    assert bound >= remainder > 0.0
+
+
+def test_tol_and_s_must_be_finite_and_positive():
+    seq = power_seq(2.0)
+    for tol in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="tol > 0"):
+            tail_sum(seq, 3, 1.0, tol=tol)
+        for s in (0.5, 2.0):
+            with pytest.raises(ValueError, match="tol > 0"):
+                h_functional_grid(seq, [1, 4], s, tol=tol)
+    for s in (math.inf, math.nan, 0.0):
+        with pytest.raises(ValueError, match="s > 0"):
+            h_functional(seq, 1, s)
 
 
 def test_tail_sum_divergent():
@@ -200,14 +212,13 @@ def test_h_regime_dispatch():
 
 
 def test_explicit_sequence_protocol():
-    seq = power_seq(2.0)
-    assert seq.value(3) == pytest.approx(1 / 9)
-    np.testing.assert_allclose(seq.values(np.array([1, 2, 4])), [1, 0.25, 1 / 16])
-    np.testing.assert_allclose(np.exp(seq.log_values(np.array([2, 3]))),
-                               [0.25, 1 / 9], rtol=1e-13)
-    bounds, logs = next(iter(seq.iter_blocks(chunk=8)))
-    assert bounds.tolist() == [1, 2, 3, 4, 5, 6, 7, 8]
-    np.testing.assert_allclose(logs, -2.0 * np.log(np.arange(1, 9)), rtol=1e-13)
+    bounds, logs = next(iter(power_seq(2.0).iter_blocks()))
+    assert bounds.tolist() == list(range(1, 4097))
+    np.testing.assert_allclose(logs, -2.0 * np.log(np.arange(1, 4097)), rtol=1e-13)
+    # without log_fn the log values come from fn; runs of length one
+    runs, lv = stream_runs(ExplicitSequence(lambda j: j ** -2.0), 5000)
+    assert runs.tolist() == list(range(5000))
+    np.testing.assert_allclose(np.exp(lv), np.arange(1, 5001) ** -2.0, rtol=1e-13)
 
 
 def _cube_tail_oracle(sigma, n, m_scan=400):

@@ -79,7 +79,7 @@ def test_point_budget_env(monkeypatch):
     assert lattice.point_budget(None) == 123
     assert lattice.point_budget(55) == 55
     monkeypatch.delenv("NTERM_BUDGET_POINTS")
-    assert lattice.point_budget(None) == 10_000_000
+    assert lattice.point_budget(None) == 2**24
 
 
 def test_ball_counts_frozen():

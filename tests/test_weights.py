@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from conftest import stream_runs
 
 from nterm import lattice
 from nterm.weights import (
@@ -162,16 +163,15 @@ def test_evidence_helpers():
 def test_rearranged_frozen():
     # d = 1, r = inf: V = [1, 3, 5], psi(m) = 1/m with psi(0) read as psi(1)
     sd = lattice.shell_counts(math.inf, 1, 2)
-    rw = RearrangedWeight(WeightFunction("power", s=1.0), sd)
-    assert rw.values(np.arange(1, 6)).tolist() == [1.0, 1.0, 1.0, 0.5, 0.5]
-    assert rw.value(5) == 0.5
-    assert rw.shell_of(np.array([1, 2, 3, 4, 5])).tolist() == [0, 1, 1, 2, 2]
+    m, lv = stream_runs(RearrangedWeight(WeightFunction("power", s=1.0), sd), 5)
+    assert m.tolist() == [0, 1, 1, 2, 2]
+    assert np.exp(lv).tolist() == [1.0, 1.0, 1.0, 0.5, 0.5]
 
 
 def test_rearranged_p_power():
     sd = lattice.shell_counts(math.inf, 1, 2)
     rw = RearrangedWeight(WeightFunction("power", s=1.0), sd, p_power=2.0)
-    assert rw.values(np.arange(1, 6)).tolist() == [1.0, 1.0, 1.0, 0.25, 0.25]
+    assert np.exp(stream_runs(rw, 5)[1]).tolist() == [1.0, 1.0, 1.0, 0.25, 0.25]
 
 
 def test_rearranged_matches_sorted_enumeration():
@@ -183,39 +183,21 @@ def test_rearranged_matches_sorted_enumeration():
         pts = lattice.enumerate_ball(8, r, d)
         oracle = sorted((psi(float(lattice.shell_index(k, r))) for k in pts),
                         reverse=True)
-        got = rw.values(np.arange(1, len(pts) + 1))
-        assert got.tolist() == oracle
+        m, _ = stream_runs(rw, len(pts))
+        assert psi(np.maximum(m, 1)).tolist() == oracle
 
 
 def test_rearranged_on_demand_extension():
     sd = lattice.shell_counts(math.inf, 1, 2)
     rw = RearrangedWeight(WeightFunction("power", s=2.0), sd)
     # j = 10^6 lies far beyond the seeded decomposition
-    v = rw.value(1_000_000)
-    m = (1_000_000 - 1) // 2 + 1
-    assert v == pytest.approx(float(m) ** -2.0)
-
-
-def test_iter_blocks_consistency():
-    sd = lattice.shell_counts(1, 2, 4)
-    rw = RearrangedWeight(WeightFunction("power", s=1.0), sd, p_power=2.0)
-    upto = 200
-    flat = np.empty(upto)
-    prev = 0
-    for bounds, logs in rw.iter_blocks():
-        for b, lv in zip(bounds, logs):
-            hi = min(int(b), upto)
-            flat[prev:hi] = math.exp(lv)
-            prev = hi
-            if hi == upto:
-                break
-        if prev == upto:
-            break
-    np.testing.assert_allclose(flat, rw.values(np.arange(1, upto + 1)), rtol=1e-13)
+    m, lv = stream_runs(rw, 1_000_000)
+    assert m[-1] == (1_000_000 - 1) // 2 + 1
+    assert math.exp(lv[-1]) == pytest.approx(float(m[-1]) ** -2.0)
 
 
 def test_log_values_match():
-    sd = lattice.shell_counts(math.inf, 2, 6)
-    rw = RearrangedWeight(WeightFunction("exp", R=1.5), sd, p_power=0.5)
-    j = np.arange(1, 120)
-    np.testing.assert_allclose(np.exp(rw.log_values(j)), rw.values(j), rtol=1e-13)
+    psi = WeightFunction("exp", R=1.5)
+    rw = RearrangedWeight(psi, lattice.shell_counts(math.inf, 2, 6), p_power=0.5)
+    m, lv = stream_runs(rw, 119)
+    np.testing.assert_allclose(np.exp(lv), psi(np.maximum(m, 1)) ** 0.5, rtol=1e-13)
