@@ -13,6 +13,12 @@ Exit status: 0 on success, 1 on a compute error (a machine-readable
 JSON error record is written to stderr), 2 on parse or validation
 errors.  Output is deterministic: identical configurations produce
 byte-identical files.
+
+Only the parser of the subcommand named first in argv is built, so a
+call pays for one command's flags; its ``--help`` and value errors are
+the ones the full parser prints.  The full parser (:func:`build_parser`)
+serves the top-level help and the errors only it reports: no or an
+unknown command, and unrecognized arguments.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import dataclasses
 import functools
 import json
 import math
+import shutil
 import sys
 
 import numpy as np
@@ -88,101 +95,93 @@ def _parse_float_list(text: str) -> list[float]:
     return vals
 
 
-def _common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--out", help="write CSV table here instead of stdout")
-    sub.add_argument("--json-out", help="write the JSON mirror here")
-    sub.add_argument("--config", help="JSON file of flag defaults (explicit flags win)")
-    sub.add_argument("--budget", type=int, default=None,
-                     help="override enumeration/grid point budgets (also env NTERM_BUDGET_POINTS)")
-    sub.add_argument("--scan-budget", type=int, default=DEFAULT_SCAN_BUDGET,
-                     help="threshold-scan budget for the extremal functionals")
-    sub.add_argument("--tol", type=float, default=DEFAULT_TOL, help="relative tail truncation tolerance")
-    sub.add_argument("--seed", type=int, default=0, help="RNG seed for randomized sweeps")
+def _flag(*names: str, **kwargs) -> tuple:
+    return names, kwargs
+
+
+_R = _flag("--r", type=_parse_r, default=math.inf)
+_D = _flag("--d", type=int, default=1)
+_N_LIST = _flag("--n", type=_parse_int_list, help="n or comma list")
+_COMMON = (
+    _flag("--out", help="write CSV table here instead of stdout"),
+    _flag("--json-out", help="write the JSON mirror here"),
+    _flag("--config", help="JSON file of flag defaults (explicit flags win)"),
+    _flag("--budget", type=int,
+          help="override enumeration/grid point budgets (also env NTERM_BUDGET_POINTS)"),
+    _flag("--scan-budget", type=int, default=DEFAULT_SCAN_BUDGET,
+          help="threshold-scan budget for the extremal functionals"),
+    _flag("--tol", type=float, default=DEFAULT_TOL, help="relative tail truncation tolerance"),
+    _flag("--seed", type=int, default=0, help="RNG seed for randomized sweeps"),
+)
+
+# subcommand -> (help line, flags before the common ones), in help order
+_SUBCOMMANDS = {
+    "shells": ("shell counts of the integer lattice and growth fit", (
+        _R, _D, _flag("--m-max", type=int))),
+    "hfunc": ("extremal functional H_n over a rearranged weight", (
+        _flag("--psi", help="weight, e.g. power:s=2 or const"),
+        _flag("--n", type=int), _flag("--s", type=float), _R, _D,
+        _flag("--p-power", type=float, default=1.0, help="rearrange psi^p-power instead of psi"))),
+    "en-class": ("exact best n-term class error in the p coefficient norm", (
+        _flag("--psi"), _flag("--q", type=float), _flag("--p", type=float), _N_LIST, _R, _D)),
+    "greedy": ("greedy n-term remainder of a coefficient file", (
+        _flag("--in", dest="infile", help="coefficient sequence JSON"),
+        _N_LIST, _flag("--p", type=float))),
+    "lemma51": ("L_p norms of random unit exponential sums", (
+        _flag("--n-grid", type=_parse_int_list),
+        _flag("--p", type=_parse_float_list, help="p or comma list"),
+        _D, _flag("--trials", type=int, default=5), _flag("--cube-scale", type=float, default=2.0))),
+    "rates": ("computed vs predicted order table with ratio window", (
+        _flag("--quantity", choices=rates.QUANTITIES),
+        _flag("--theorem", choices=rates.THEOREM_TAGS),
+        _flag("--psi"),
+        _flag("--n-grid", type=_parse_int_list),
+        _flag("--q", type=float), _flag("--p", type=float), _flag("--s", type=float), _R, _D)),
+    "check-psi": ("slow-vanishing class and decay-condition evidence", (
+        _flag("--psi"), _flag("--s", type=float, help="also check the decay condition at this s"), _D)),
+}
+
+
+def _formatter():
+    # argparse builds a formatter (which asks for the terminal size) on
+    # every add_argument call; one width per parser build keeps the
+    # wrapping and saves those queries
+    return functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+
+
+def _with_flags(parser: argparse.ArgumentParser, flags) -> argparse.ArgumentParser:
+    for names, kwargs in flags + _COMMON:
+        parser.add_argument(*names, **kwargs)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
-    import shutil
-
-    # argparse builds a formatter (which asks for the terminal size) on
-    # every add_argument call; one width for the whole build keeps the
-    # wrapping and saves those queries
-    fmt = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    """The full parser: the top level and every subcommand."""
+    fmt = _formatter()
     parser = argparse.ArgumentParser(
         prog="nterm",
         description="n-term approximation characteristics of weighted Fourier classes",
         formatter_class=fmt,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("shells", formatter_class=fmt,
-                       help="shell counts of the integer lattice and growth fit")
-    p.add_argument("--r", type=_parse_r, default=math.inf)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--m-max", type=int, default=None)
-    _common_flags(p)
-
-    p = sub.add_parser("hfunc", formatter_class=fmt,
-                       help="extremal functional H_n over a rearranged weight")
-    p.add_argument("--psi", default=None, help="weight, e.g. power:s=2 or const")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--s", type=float, default=None)
-    p.add_argument("--r", type=_parse_r, default=math.inf)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--p-power", type=float, default=1.0,
-                   help="rearrange psi^p-power instead of psi")
-    _common_flags(p)
-
-    p = sub.add_parser("en-class", formatter_class=fmt,
-                       help="exact best n-term class error in the p coefficient norm")
-    p.add_argument("--psi", default=None)
-    p.add_argument("--q", type=float, default=None)
-    p.add_argument("--p", type=float, default=None)
-    p.add_argument("--n", type=_parse_int_list, default=None, help="n or comma list")
-    p.add_argument("--r", type=_parse_r, default=math.inf)
-    p.add_argument("--d", type=int, default=1)
-    _common_flags(p)
-
-    p = sub.add_parser("greedy", formatter_class=fmt,
-                       help="greedy n-term remainder of a coefficient file")
-    p.add_argument("--in", dest="infile", default=None, help="coefficient sequence JSON")
-    p.add_argument("--n", type=_parse_int_list, default=None, help="n or comma list")
-    p.add_argument("--p", type=float, default=None)
-    _common_flags(p)
-
-    p = sub.add_parser("lemma51", formatter_class=fmt,
-                       help="L_p norms of random unit exponential sums")
-    p.add_argument("--n-grid", type=_parse_int_list, default=None)
-    p.add_argument("--p", type=_parse_float_list, default=None, help="p or comma list")
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--trials", type=int, default=5)
-    p.add_argument("--cube-scale", type=float, default=2.0)
-    _common_flags(p)
-
-    p = sub.add_parser("rates", formatter_class=fmt,
-                       help="computed vs predicted order table with ratio window")
-    p.add_argument("--quantity", choices=rates.QUANTITIES, default=None)
-    p.add_argument("--theorem", choices=rates.THEOREM_TAGS, default=None)
-    p.add_argument("--psi", default=None)
-    p.add_argument("--n-grid", type=_parse_int_list, default=None)
-    p.add_argument("--q", type=float, default=None)
-    p.add_argument("--p", type=float, default=None)
-    p.add_argument("--s", type=float, default=None)
-    p.add_argument("--r", type=_parse_r, default=math.inf)
-    p.add_argument("--d", type=int, default=1)
-    _common_flags(p)
-
-    p = sub.add_parser("check-psi", formatter_class=fmt,
-                       help="slow-vanishing class and decay-condition evidence")
-    p.add_argument("--psi", default=None)
-    p.add_argument("--s", type=float, default=None, help="also check the decay condition at this s")
-    p.add_argument("--d", type=int, default=1)
-    _common_flags(p)
-
+    for name, (help_line, flags) in _SUBCOMMANDS.items():
+        _with_flags(sub.add_parser(name, formatter_class=fmt, help=help_line), flags)
     return parser
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    args = parser.parse_args(argv)
+def _parse(argv: list[str]) -> argparse.Namespace:
+    if argv and argv[0] in _SUBCOMMANDS:
+        parser = argparse.ArgumentParser(prog=f"nterm {argv[0]}", formatter_class=_formatter())
+        args, extras = _with_flags(parser, _SUBCOMMANDS[argv[0]][1]).parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    # otherwise the full parser, which prints top-level help and usage errors
+    return build_parser().parse_args(argv)
+
+
+def _apply_config(argv: list[str]) -> argparse.Namespace:
+    args = _parse(argv)
     if not args.config:
         return args
     try:
@@ -205,7 +204,7 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
         tokens.append(f"--{'in' if key == 'infile' else key.replace('_', '-')}={val}")
     # right after the subcommand, so the flags given explicitly come later and win
     at = argv.index(args.command) + 1
-    return parser.parse_args(argv[:at] + tokens + argv[at:])
+    return _parse(argv[:at] + tokens + argv[at:])
 
 
 _REQUIRED = {
@@ -259,7 +258,7 @@ def _cmd_hfunc(args) -> int:
     psi = parse_weight(args.psi)
     if args.d < 1:
         raise CliValidationError("need d >= 1")
-    shells = lattice.shell_counts(args.r, args.d, 8, budget=args.budget)
+    shells = lattice.shell_counts(args.r, args.d, 16, budget=args.budget)
     rw = RearrangedWeight(psi, shells, p_power=args.p_power, budget=args.budget)
     res = h_functional(rw, int(args.n), args.s, tol=args.tol, scan_budget=args.scan_budget)
     result = {
@@ -387,9 +386,8 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = _apply_config(parser, argv)
+        args = _apply_config(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     except CliValidationError as exc:

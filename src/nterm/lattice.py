@@ -272,10 +272,12 @@ class ShellDecomposition:
             raise ValueError("nu and V must be 1-d arrays of equal length")
         if self.V[0] != 1 or self.nu[0] != 1:
             raise ValueError("shell 0 must contain exactly the origin")
-        if np.any(np.diff(self.V) <= 0):
-            raise ValueError("cumulative counts must be strictly increasing")
-        if np.any(self.V != np.cumsum(self.nu)):
+        # with V[0] = nu[0], nu[1:] = diff(V) is V = cumsum(nu), and then
+        # nu[1:] > 0 is strict increase; one full-length temporary at most
+        if np.any(self.nu[1:] != np.diff(self.V)):
             raise ValueError("V must be the running sum of nu")
+        if np.any(self.nu[1:] <= 0):
+            raise ValueError("cumulative counts must be strictly increasing")
 
     @property
     def m_max(self) -> int:
@@ -323,14 +325,13 @@ def shell_counts(r, d: int, m_max: int, budget: int | None = None) -> ShellDecom
         raise ValueError(f"dimension must be positive, got {d}")
     if not math.isinf(r) and float(r) <= 0.0:
         raise ValueError(f"radius exponent must be positive, got {r}")
-    m_arr = np.arange(m_max + 1, dtype=np.int64)
     if has_closed_counts(r, d):
-        V = ball_counts(r, d, m_arr)
+        V = ball_counts(r, d, np.arange(m_max + 1, dtype=np.int64))
     else:
         V = _counts_enumerated(r, d, m_max, budget)
     nu = np.empty_like(V)
     nu[0] = V[0]
-    nu[1:] = np.diff(V)
+    np.subtract(V[1:], V[:-1], out=nu[1:])
     return ShellDecomposition(r=float(r) if not math.isinf(r) else math.inf, d=d, nu=nu, V=V)
 
 

@@ -323,3 +323,56 @@ def test_parser_queries_terminal_size_once(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert max(len(line) for line in lines) <= 58
     assert any(len(line) > 50 for line in lines)
+
+
+_VALID_ARGV = [
+    ["shells", "--m-max", "5", "--d", "2", "--r", "1"],
+    ["hfunc", "--psi", "power:s=2", "--n", "4", "--s", "0.5", "--p-power", "2"],
+    ["en-class", "--psi", "power:s=2", "--q", "1", "--p", "2", "--n", "2,4", "--tol", "1e-8"],
+    ["greedy", "--in", "f.json", "--n", "1,2", "--p", "2"],
+    ["lemma51", "--n-grid", "8,16", "--p", "2,3", "--cube-scale", "1.5"],
+    ["rates", "--quantity", "class_sp", "--psi", "power:s=2", "--n-grid", "4", "--q", "1", "--p", "2"],
+    ["check-psi", "--psi", "power:s=2", "--s", "2", "--seed", "3"],
+]
+_USAGE_ARGV = [[], ["--help"], ["bogus"], ["--x", "hfunc"]] + [
+    [argv[0], *tail] for argv in _VALID_ARGV
+    for tail in (["--help"], ["--tol", "x"], ["--bogus"], ["stray"], ["--seed"], ["--", "x"])
+]
+
+
+@pytest.mark.parametrize("argv", _USAGE_ARGV, ids=" ".join)
+def test_usage_output_matches_full_parser(argv, monkeypatch, capsys):
+    from nterm.cli import build_parser
+
+    monkeypatch.setenv("COLUMNS", "100")
+    code = main(argv)
+    got = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    want = capsys.readouterr()
+    assert (code, got.out, got.err) == (exc.value.code or 0, want.out, want.err)
+
+
+@pytest.mark.parametrize("argv", _VALID_ARGV, ids=lambda argv: argv[0])
+def test_namespace_matches_full_parser(argv, tmp_path):
+    from nterm.cli import _apply_config, build_parser
+
+    assert vars(_apply_config(argv)) == vars(build_parser().parse_args(argv))
+    # the same flags from a config file
+    cfg = tmp_path / "cfg.json"
+    keys = ["infile" if flag == "--in" else flag[2:] for flag in argv[1::2]]
+    cfg.write_text(json.dumps(dict(zip(keys, argv[2::2]))))
+    args = _apply_config([argv[0], "--config", str(cfg)])
+    assert vars(args) == vars(build_parser().parse_args(argv + ["--config", str(cfg)]))
+
+
+def test_valid_argv_never_builds_the_full_parser(monkeypatch, capsys):
+    from nterm import cli
+
+    def refuse():
+        raise AssertionError("the full parser was built for a valid argv")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    assert main(["en-class", "--psi", "power:s=2", "--q", "1", "--p", "2", "--n", "2,4"]) == 0
+    assert main(["hfunc", "--psi", "power:s=2", "--n", "4", "--s", "0.5"]) == 0
+    capsys.readouterr()
