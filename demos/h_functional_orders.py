@@ -9,19 +9,17 @@ which the ratio column makes visible.
 
 import math
 
-from nterm import lattice
 from nterm.functionals import h_functional
 from nterm.weights import RearrangedWeight, WeightFunction
 
 
 def main():
     psi = WeightFunction("power", s=2.0)
-    shells = lattice.shell_counts(math.inf, 1, 16)
     for s in (0.5, 1.0, 2.0):
         print(f"s = {s:g}  (regime: {'sup' if s <= 1 else 'tail'})")
         print(f"  {'n':>6} {'H_n':>14} {'l*':>8} {'H_n / rate':>12}")
         for n in (16, 64, 256, 1024, 4096):
-            rw = RearrangedWeight(psi, shells)
+            rw = RearrangedWeight(psi, math.inf, 1)
             res = h_functional(rw, n, s, tol=1e-9, scan_budget=2_000_000)
             rate = float(psi(float(n))) * n ** (1.0 - 1.0 / s)
             lstar = res.l_star if res.l_star is not None else "-"

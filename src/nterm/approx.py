@@ -192,8 +192,7 @@ def class_best_nterm_sp_grid(
     """
     if not p > 0:
         raise ValueError(f"need p > 0, got p={p}")
-    shells = lattice.shell_counts(spec.r, spec.d, 16, budget=budget)
-    rw = RearrangedWeight(spec.psi, shells, p_power=p, budget=budget)
+    rw = RearrangedWeight(spec.psi, spec.r, spec.d, p_power=p, budget=budget)
     return [
         FunctionalResult(
             value=base.value ** (1.0 / p),

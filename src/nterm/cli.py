@@ -258,8 +258,7 @@ def _cmd_hfunc(args) -> int:
     psi = parse_weight(args.psi)
     if args.d < 1:
         raise CliValidationError("need d >= 1")
-    shells = lattice.shell_counts(args.r, args.d, 16, budget=args.budget)
-    rw = RearrangedWeight(psi, shells, p_power=args.p_power, budget=args.budget)
+    rw = RearrangedWeight(psi, args.r, args.d, p_power=args.p_power, budget=args.budget)
     res = h_functional(rw, int(args.n), args.s, tol=args.tol, scan_budget=args.scan_budget)
     result = {
         "value": res.value,
@@ -307,6 +306,8 @@ def _cmd_greedy(args) -> int:
 def _cmd_lemma51(args) -> int:
     if args.d < 1 or args.trials < 1 or min(args.n_grid) < 1:
         raise CliValidationError("need d >= 1, trials >= 1 and every n >= 1")
+    if not 0.0 < args.cube_scale < math.inf:
+        raise CliValidationError(f"need finite --cube-scale > 0, got {args.cube_scale}")
     rng = np.random.default_rng(args.seed)
     buf = ["n,p,trial,norm,ratio"]
     rows = []

@@ -7,9 +7,10 @@ rounded-up quasi-norm equals ``m``.  Cumulative counts ``V_m`` grow like
 ``M0 * m^d`` with ``M0 = 2^d`` for ``r = inf`` and ``M0 = 2^d / d!`` for
 ``r = 1``; :func:`fit_growth_bounds` recovers the constants empirically.
 
-Counting is exact (integer arithmetic) for ``r in {1, 2, inf}``.  Other
-exponents fall back to enumeration with a float quasi-norm and a small
-snapping tolerance when rounding up to the shell index.
+Shell counts are exact (integer arithmetic) for ``r in {1, inf}`` at
+any d and for ``r = 2`` at ``d <= 2``.  Every other case, ``r = 2`` at
+``d >= 3`` included, histograms an enumerated box with a float
+quasi-norm and a 1e-9 snap when rounding up to the shell index.
 """
 
 from __future__ import annotations
@@ -253,56 +254,31 @@ def _counts_enumerated(r, d: int, m_max: int, budget: int | None) -> np.ndarray:
 
 @dataclass(eq=False)
 class ShellDecomposition:
-    """Shell sizes nu_m and cumulative counts V_m for radii 0..m_max.
+    """Cumulative counts V_m for radii 0..m_max, and shell sizes nu_m.
 
-    ``nu[m]`` counts lattice points with shell index exactly m and
-    ``V[m]`` those with shell index at most m; ``V[0] = nu[0] = 1``
+    ``V[m]`` counts lattice points with shell index at most m and
+    ``nu[m]`` those with shell index exactly m; ``V[0] = nu[0] = 1``
     (the origin) and V is strictly increasing.
     """
 
     r: float
     d: int
-    nu: np.ndarray
     V: np.ndarray
 
     def __post_init__(self):
-        self.nu = np.asarray(self.nu, dtype=np.int64)
         self.V = np.asarray(self.V, dtype=np.int64)
-        if self.nu.shape != self.V.shape or self.nu.ndim != 1:
-            raise ValueError("nu and V must be 1-d arrays of equal length")
-        if self.V[0] != 1 or self.nu[0] != 1:
-            raise ValueError("shell 0 must contain exactly the origin")
-        # with V[0] = nu[0], nu[1:] = diff(V) is V = cumsum(nu), and then
-        # nu[1:] > 0 is strict increase; one full-length temporary at most
-        if np.any(self.nu[1:] != np.diff(self.V)):
-            raise ValueError("V must be the running sum of nu")
-        if np.any(self.nu[1:] <= 0):
+        if self.V.ndim != 1 or not self.V.size or self.V[0] != 1:
+            raise ValueError("V must be a 1-d array with V[0] = 1 (the origin)")
+        if np.any(self.V[1:] <= self.V[:-1]):
             raise ValueError("cumulative counts must be strictly increasing")
+
+    @property
+    def nu(self) -> np.ndarray:
+        return np.diff(self.V, prepend=0)
 
     @property
     def m_max(self) -> int:
         return len(self.V) - 1
-
-    def extended(self, m_new: int, budget: int | None = None) -> "ShellDecomposition":
-        """A decomposition of the same (r, d) covering radii up to m_new.
-
-        The table holds one entry per radius, and its length counts
-        against the point budget like enumerated points do.
-
-        Raises
-        ------
-        BudgetExceededError
-            If m_new + 1 entries exceed the point budget, or enumeration
-            is required and its box exceeds it.
-        """
-        if m_new <= self.m_max:
-            return self
-        limit = point_budget(budget)
-        if m_new + 1 > limit:
-            raise BudgetExceededError(
-                f"shell table to radius {m_new} needs {m_new + 1} entries, budget is {limit}"
-            )
-        return shell_counts(self.r, self.d, m_new, budget=budget)
 
 
 def shell_counts(r, d: int, m_max: int, budget: int | None = None) -> ShellDecomposition:
@@ -310,12 +286,14 @@ def shell_counts(r, d: int, m_max: int, budget: int | None = None) -> ShellDecom
 
     Uses closed forms for ``r in {1, inf}`` (any d) and ``r = 2`` with
     ``d <= 2``; other cases enumerate a bounding box under the point
-    budget.
+    budget.  The table holds one entry per radius, and its length counts
+    against the point budget like enumerated points do.
 
     Raises
     ------
     BudgetExceededError
-        When enumeration is required and the box exceeds the budget.
+        If m_max + 1 entries exceed the point budget, or enumeration is
+        required and its box exceeds it.
     OverflowError
         When closed-form counts up to m_max do not fit in int64.
     """
@@ -325,14 +303,16 @@ def shell_counts(r, d: int, m_max: int, budget: int | None = None) -> ShellDecom
         raise ValueError(f"dimension must be positive, got {d}")
     if not math.isinf(r) and float(r) <= 0.0:
         raise ValueError(f"radius exponent must be positive, got {r}")
+    limit = point_budget(budget)
+    if m_max + 1 > limit:
+        raise BudgetExceededError(
+            f"shell table to radius {m_max} needs {m_max + 1} entries, budget is {limit}"
+        )
     if has_closed_counts(r, d):
         V = ball_counts(r, d, np.arange(m_max + 1, dtype=np.int64))
     else:
         V = _counts_enumerated(r, d, m_max, budget)
-    nu = np.empty_like(V)
-    nu[0] = V[0]
-    np.subtract(V[1:], V[:-1], out=nu[1:])
-    return ShellDecomposition(r=float(r) if not math.isinf(r) else math.inf, d=d, nu=nu, V=V)
+    return ShellDecomposition(r=float(r) if not math.isinf(r) else math.inf, d=d, V=V)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import lattice, trig_lp, weights
+from . import trig_lp, weights
 from .approx import FunctionClassSpec, class_best_nterm_sp_grid, extremal_function_f1, greedy_order
 from .functionals import DEFAULT_SCAN_BUDGET, DEFAULT_TOL, h_functional_grid
 from .trig_lp import GridSpec
@@ -240,8 +240,7 @@ def rate_table(
         if s is None:
             raise ValueError("h_functional needs s")
         theorem = theorem or "lemma41"
-        rw = RearrangedWeight(psi, lattice.shell_counts(r, d, 16, budget=budget), p_power=1.0,
-                              budget=budget)
+        rw = RearrangedWeight(psi, r, d, budget=budget)
         results = h_functional_grid(rw, n_arr, s, tol=tol, scan_budget=scan_budget)
         computed = np.array([res.value for res in results], dtype=np.float64)
     else:

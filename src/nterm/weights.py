@@ -22,8 +22,9 @@ the decay condition ``sup alpha < s' / d`` with ``s' = s/(s-1)``.
 A :class:`RearrangedWeight` is the nonincreasing rearrangement of
 ``{psi(|k|_r) : k in Z^d}`` as a step sequence on j = 1, 2, ...: the
 value on shell m (positions V_{m-1} < j <= V_m) is ``psi(m)^p_power``.
-It is read only as a stream of shell blocks (``iter_blocks()``), whose
-shell table grows as far as the stream is consumed.
+It is described by ``(psi, r, d)`` alone and read only as a stream of
+shell blocks (``iter_blocks()``); each stream builds its own shell
+table and grows it as far as the stream is consumed.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import ShellDecomposition
+from .lattice import shell_counts
 
 _FAMILIES = ("power", "powerlog", "log", "exp", "const")
 
@@ -54,6 +55,10 @@ class WeightFunction:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown weight family {self.family!r}, expected one of {_FAMILIES}")
+        if not all(math.isfinite(v) for v in (self.s, self.eps, self.R)):
+            raise ValueError(
+                f"weight parameters must be finite, got s={self.s}, eps={self.eps}, R={self.R}"
+            )
         if self.family in ("power", "powerlog") and not self.s > 0:
             raise ValueError(f"family {self.family!r} needs s > 0, got s={self.s}")
         if self.family == "log" and not self.eps < 0:
@@ -307,18 +312,20 @@ def decreasing_evidence(psi: WeightFunction, t_grid=None) -> bool:
     return bool(np.all(np.diff(vals) <= 1e-15 * vals[:-1]))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True)
 class RearrangedWeight:
     """Nonincreasing rearrangement of {psi(|k|_r)^p_power : k in Z^d}.
 
     A step sequence on j = 1, 2, ...: value ``psi(m)^p_power`` on shell
     positions V_{m-1} < j <= V_m (with psi(0) := psi(1) at j = 1).  The
-    shell table extends itself on demand; for r with closed-form counts
-    the extension never enumerates.
+    instance only describes the sequence; each stream it yields builds
+    and grows a shell table of its own (for r with closed-form counts
+    the table never enumerates).
     """
 
     psi: WeightFunction
-    shells: ShellDecomposition
+    r: float
+    d: int
     p_power: float = 1.0
     budget: int | None = None
 
@@ -333,20 +340,23 @@ class RearrangedWeight:
         m at constant value; boundaries are cumulative counts, strictly
         increasing across the whole stream.  The first block holds 16
         shells and each next one twice as many, up to 4096, so a scan
-        that stops early reads only the shells it needs.  The shell
-        table grows (at least doubling) when a block reaches past it,
-        under the point budget.  The stream is unbounded; callers stop
-        consuming when done.
+        that stops early reads only the shells it needs.  The stream's
+        shell table is rebuilt (at least doubling) when a block reaches
+        past it, under the point budget.  The stream is unbounded;
+        callers stop consuming when done.
         """
         m0, size = 0, 16
+        V = np.empty(0, dtype=np.int64)
         while True:
             needed = m0 + size - 1
-            if self.shells.m_max < needed:
-                self.shells = self.shells.extended(
-                    max(2 * self.shells.m_max, needed), budget=self.budget
-                )
+            if len(V) <= needed:
+                m_new = max(2 * (len(V) - 1), needed)
+                # blocks are copies, so this frees the outgoing table
+                # before the next one is built
+                V = None
+                V = shell_counts(self.r, self.d, m_new, budget=self.budget).V
             m_arr = np.arange(m0, m0 + size, dtype=np.int64)
             lv = self.p_power * self.psi.log_value(np.maximum(m_arr, 1).astype(np.float64))
-            yield self.shells.V[m0 : m0 + size], np.asarray(lv, dtype=np.float64)
+            yield V[m0 : m0 + size].copy(), np.asarray(lv, dtype=np.float64)
             m0 += size
             size = min(2 * size, 4096)

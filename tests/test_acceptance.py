@@ -44,7 +44,7 @@ def test_criterion_01_rearrangement_oracle():
             norms = np.array([lattice.quasi_norm(k, r) for k in pts])
             for psi in (P1, P2, PL):
                 want = np.sort(psi(norms))[::-1]
-                m, _ = stream_runs(RearrangedWeight(psi, lattice.shell_counts(r, d, 20)), len(pts))
+                m, _ = stream_runs(RearrangedWeight(psi, r, d), len(pts))
                 got = psi(np.maximum(m, 1))
                 assert np.array_equal(got, want)
                 checked += 1
@@ -103,7 +103,7 @@ def test_criterion_03_unimodality_and_l_star():
         d = int(rng.integers(1, 3))
         n = int(rng.integers(4, 65))
         s = float(rng.uniform(1.1, 4.0))
-        rw = RearrangedWeight(psi, lattice.shell_counts(r, d, 8))
+        rw = RearrangedWeight(psi, r, d)
         log_terms = -s * stream_runs(rw, L)[1]
         logS = np.logaddexp.accumulate(log_terms)
         with np.errstate(divide="ignore"):
@@ -224,11 +224,10 @@ def test_criterion_06_h_functional_order_window():
     ns = [2**i for i in range(4, 13)]
     worst = 0.0
     for d in (1, 2):
-        shells = lattice.shell_counts(math.inf, d, 16)
         for s in (0.5, 2.0):
             ratios = []
             for n in ns:
-                rw = RearrangedWeight(P2, shells, p_power=1.0)
+                rw = RearrangedWeight(P2, math.inf, d)
                 h = h_functional(rw, n, s, tol=1e-9, scan_budget=2_000_000).value
                 ratios.append(h * n ** (1.0 / s - 1.0) / float(P2(n ** (1.0 / d))))
             spread = max(ratios) / min(ratios)

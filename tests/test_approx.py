@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from nterm import lattice
+from nterm import lattice, weights
 from nterm.approx import (
     CoefficientSequence,
     FunctionClassSpec,
@@ -179,10 +179,9 @@ def test_class_best_nterm_tail_regime_mpmath_oracle():
 
 def test_class_best_nterm_matches_functional_wrapper():
     psi = WeightFunction("power", s=3.0)
-    shells = lattice.shell_counts(1.0, 2, 16)
     spec = FunctionClassSpec(q=2.0, r=1.0, psi=psi, d=2)
     res = class_best_nterm_sp(spec, 5, 1.0, tol=1e-9)
-    base = h_functional(RearrangedWeight(psi, shells, p_power=1.0), 5, 2.0, tol=1e-9)
+    base = h_functional(RearrangedWeight(psi, 1.0, 2), 5, 2.0, tol=1e-9)
     assert res.value == pytest.approx(base.value, rel=1e-15)
     assert res.l_star == base.l_star
 
@@ -282,13 +281,20 @@ def test_class_best_nterm_grid_brute_force(stream_count):
         assert res.value == pytest.approx(want, rel=1e-9)
 
 
-def test_stream_stays_inside_small_budget():
+def test_stream_stays_inside_small_budget(monkeypatch):
     # the scan certifies within the first shells, so a 10 000-point budget
     # (radius 49 at d = 2) suffices for the enumerated r = 1.5 table
+    radii = []
+    original = weights.shell_counts
+
+    def recorded(r, d, m_max, budget=None):
+        radii.append(m_max)
+        return original(r, d, m_max, budget=budget)
+
+    monkeypatch.setattr(weights, "shell_counts", recorded)
     psi = WeightFunction("power", s=2.0)
-    shells = lattice.shell_counts(1.5, 2, 8, budget=10_000)
-    rw = RearrangedWeight(psi, shells, p_power=2.0, budget=10_000)
+    rw = RearrangedWeight(psi, 1.5, 2, p_power=2.0, budget=10_000)
     res = h_functional(rw, 4, 0.5)
     want = _brute_force_sup_class_error(psi, 1.5, 2, 1.0, 2.0, 4, 40) ** 2.0
     assert res.value == pytest.approx(want, rel=1e-9)
-    assert rw.shells.m_max <= 49
+    assert radii and max(radii) <= 49

@@ -194,12 +194,27 @@ def test_metadata_block_as_config_reproduces_result(argv, tmp_path, capsys):
     (["hfunc", "--psi", "power:s=2", "--n", "3", "--s", "2", "--tol", "0"], "tol > 0"),
     (["hfunc", "--psi", "power:s=2", "--n", "3", "--s", "2", "--tol", "-1"], "tol > 0"),
     (["lemma51", "--n-grid", "0", "--p", "2"], "n >= 1"),
+    (["hfunc", "--psi", "power:s=inf", "--n", "1", "--s", "0.5"], "must be finite"),
+    (["hfunc", "--psi", "powerlog:s=2,eps=inf", "--n", "1", "--s", "0.5"], "must be finite"),
+    (["hfunc", "--psi", "log:eps=-inf", "--n", "1", "--s", "0.5"], "must be finite"),
+    (["check-psi", "--psi", "exp:R=inf"], "must be finite"),
+    (["check-psi", "--psi", "exp:R=nan"], "must be finite"),
+    (["lemma51", "--n-grid", "4", "--p", "2", "--cube-scale", "inf"], "--cube-scale > 0"),
+    (["lemma51", "--n-grid", "4", "--p", "2", "--cube-scale", "nan"], "--cube-scale > 0"),
+    (["lemma51", "--n-grid", "4", "--p", "2", "--cube-scale", "0"], "--cube-scale > 0"),
 ])
 def test_invalid_inputs_exit_2_naming_the_limit(argv, limit, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(argv) == 2
     assert limit in capsys.readouterr().err
+
+
+def test_shells_table_length_under_budget(capsys):
+    assert main(["shells", "--m-max", "20", "--budget", "10"]) == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"]["type"] == "BudgetExceededError"
+    assert "needs 21 entries, budget is 10" in record["error"]["message"]
 
 
 def test_rates_rerun_byte_identical(tmp_path, capsys):

@@ -7,7 +7,6 @@ from conftest import stream_runs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nterm import lattice
 from nterm.functionals import (
     DivergentTailError,
     ExplicitSequence,
@@ -89,8 +88,7 @@ def test_tail_sum_zeta_oracle():
 def test_tail_sum_rearranged_zeta():
     # d = 1, r = inf, psi = t^-2: the rearranged sequence repeats m^-2
     # twice per shell, so sum_{j>3} of its square is 2 (zeta(4) - 1)
-    sd = lattice.shell_counts(math.inf, 1, 4)
-    rw = RearrangedWeight(WeightFunction("power", s=2.0), sd)
+    rw = RearrangedWeight(WeightFunction("power", s=2.0), math.inf, 1)
     value, bound = tail_sum(rw, 3, 2.0, tol=1e-10)
     want = float(2 * (mpmath.zeta(4) - 1))
     assert value == pytest.approx(want, rel=1e-9)
@@ -246,7 +244,7 @@ def _cube_tail_oracle(sigma, n, m_scan=400):
 @pytest.mark.parametrize("n", [5, 40])
 def test_tail_regime_hurwitz_zeta_oracle(sigma, n):
     l_star, want, want_tail = _cube_tail_oracle(sigma, n)
-    rw = RearrangedWeight(WeightFunction("power", s=sigma), lattice.shell_counts(math.inf, 3, 8))
+    rw = RearrangedWeight(WeightFunction("power", s=sigma), math.inf, 3)
     res = h_functional(rw, n, 2.0)
     assert res.regime == "tail"
     assert res.l_star == l_star
@@ -260,14 +258,14 @@ def test_tail_regime_hurwitz_zeta_oracle(sigma, n):
 def test_tail_regime_slow_tail_raises_typed_error():
     # sigma = 2: the tail 24 zeta(2, M+1) + ... decays like 1/M, too slowly
     # to certify to tol = 1e-9 within the window limit
-    rw = RearrangedWeight(WeightFunction("power", s=2.0), lattice.shell_counts(math.inf, 3, 8))
+    rw = RearrangedWeight(WeightFunction("power", s=2.0), math.inf, 3)
     with pytest.raises(DivergentTailError):
         h_functional(rw, 5, 2.0)
 
 
 def test_sup_scan_budget_raises_typed_error():
     # the scan stops at the first block boundary past 50, before any l > 100
-    rw = RearrangedWeight(WeightFunction("power", s=2.0), lattice.shell_counts(math.inf, 1, 8))
+    rw = RearrangedWeight(WeightFunction("power", s=2.0), math.inf, 1)
     with pytest.raises(NoThresholdError, match="scan budget 50"):
         h_functional(rw, 100, 0.5, scan_budget=50)
     with pytest.raises(NoThresholdError, match="scan budget 50"):
@@ -297,11 +295,10 @@ def grid_cases(draw):
 @given(grid_cases())
 def test_grid_matches_one_n_evaluations(case):
     d, r, psi, s, ns = case
-    shells = lattice.shell_counts(r, d, 8)
-    grid = h_functional_grid(RearrangedWeight(psi, shells), ns, s)
+    grid = h_functional_grid(RearrangedWeight(psi, r, d), ns, s)
     assert len(grid) == len(ns)
     for n, res in zip(ns, grid):
-        one = h_functional(RearrangedWeight(psi, shells), n, s)
+        one = h_functional(RearrangedWeight(psi, r, d), n, s)
         if s <= 1.0:
             assert res == one
         else:
@@ -315,7 +312,7 @@ def test_grid_matches_one_n_evaluations(case):
 
 def test_dense_sup_grid_matches_one_n_evaluations():
     # more n values than the scan evaluates together in one row chunk
-    rw = RearrangedWeight(WeightFunction("powerlog", s=2.5, eps=0.5), lattice.shell_counts(1.0, 2, 8))
+    rw = RearrangedWeight(WeightFunction("powerlog", s=2.5, eps=0.5), 1.0, 2)
     ns = list(range(150, 0, -2))
     for s in (0.3, 1.0):
         for n, res in zip(ns, h_functional_grid(rw, ns, s)):
@@ -326,7 +323,7 @@ def test_grid_tail_regime_mpmath_oracle():
     # the same r = inf, d = 3 oracle as above, with the whole grid (unsorted,
     # with a repeat) evaluated from one pass
     ns = [40, 5, 12, 5]
-    rw = RearrangedWeight(WeightFunction("power", s=3.0), lattice.shell_counts(math.inf, 3, 8))
+    rw = RearrangedWeight(WeightFunction("power", s=3.0), math.inf, 3)
     for n, res in zip(ns, h_functional_grid(rw, ns, 2.0)):
         l_star, want, _ = _cube_tail_oracle(3.0, n)
         assert res.l_star == l_star
@@ -334,7 +331,7 @@ def test_grid_tail_regime_mpmath_oracle():
 
 
 def test_one_stream_per_evaluation(stream_count):
-    rw = RearrangedWeight(WeightFunction("power", s=3.0), lattice.shell_counts(math.inf, 2, 8))
+    rw = RearrangedWeight(WeightFunction("power", s=3.0), math.inf, 2)
     h_functional(rw, 20, 2.0)
     assert len(stream_count) == 1
     h_functional_grid(rw, [64, 4, 16, 4], 2.0)

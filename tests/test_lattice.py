@@ -114,20 +114,19 @@ def test_shell_counts_generic_r():
 
 
 def test_decomposition_validation():
-    with pytest.raises(ValueError):
-        ShellDecomposition(r=2.0, d=2, nu=np.array([2, 4], dtype=np.int64),
-                           V=np.array([2, 6], dtype=np.int64))
-    with pytest.raises(ValueError):
-        ShellDecomposition(r=2.0, d=2, nu=np.array([1, 4], dtype=np.int64),
-                           V=np.array([1, 4], dtype=np.int64))
+    for bad in ([2, 6], [1, 5, 5], [1, 9, 5], [], [[1, 9]]):
+        with pytest.raises(ValueError):
+            ShellDecomposition(r=2.0, d=2, V=np.array(bad, dtype=np.int64))
+    sd = ShellDecomposition(r=2.0, d=2, V=np.array([1, 5, 13], dtype=np.int64))
+    assert sd.nu.tolist() == [1, 4, 8]
 
 
-def test_extended():
+def test_shell_counts_prefix():
+    # a longer table starts with the shorter one
     sd = shell_counts(math.inf, 2, 3)
-    sd2 = sd.extended(6)
+    sd2 = shell_counts(math.inf, 2, 6)
     assert sd2.m_max == 6
     assert sd2.V[:4].tolist() == sd.V.tolist()
-    assert sd.extended(2) is sd
 
 
 def test_fit_growth_frozen():
@@ -196,8 +195,7 @@ def test_ball_counts_int64_limit(r, d):
         ball_counts(r, d, [0, lo + 1])
 
 
-def test_extended_table_length_budget():
-    sd = shell_counts(math.inf, 1, 3)
-    assert sd.extended(49, budget=50).m_max == 49
-    with pytest.raises(BudgetExceededError):
-        sd.extended(50, budget=50)
+def test_shell_table_length_budget():
+    assert shell_counts(math.inf, 1, 49, budget=50).m_max == 49
+    with pytest.raises(BudgetExceededError, match="needs 51 entries, budget is 50"):
+        shell_counts(math.inf, 1, 50, budget=50)

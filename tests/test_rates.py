@@ -90,9 +90,8 @@ def test_rate_table_class_sp():
 
 def test_rate_table_h_functional_matches_direct():
     t = rate_table("h_functional", [4, 8], P2, 1, s=0.5, tol=1e-9)
-    shells = lattice.shell_counts(math.inf, 1, 16)
     for n, c in zip(t.n, t.computed):
-        rw = RearrangedWeight(P2, shells, p_power=1.0)
+        rw = RearrangedWeight(P2, math.inf, 1)
         want = h_functional(rw, int(n), 0.5, tol=1e-9, scan_budget=2_000_000).value
         assert c == pytest.approx(want, rel=1e-15)
     assert t.theorem == "lemma41"

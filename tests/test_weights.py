@@ -131,6 +131,18 @@ def test_parse_weight_errors():
             parse_weight(bad)
 
 
+@pytest.mark.parametrize("spec", [
+    "power:s=inf", "power:s=nan",
+    "powerlog:s=inf,eps=1", "powerlog:s=nan,eps=1",
+    "powerlog:s=2,eps=inf", "powerlog:s=2,eps=-inf", "powerlog:s=2,eps=nan",
+    "log:eps=-inf", "log:eps=nan",
+    "exp:R=inf", "exp:R=nan",
+])
+def test_parse_weight_rejects_non_finite(spec):
+    with pytest.raises(ValueError, match="must be finite"):
+        parse_weight(spec)
+
+
 def test_class_b_power_in_exp_out():
     rep = check_class_b(WeightFunction("power", s=2.0))
     assert rep.in_class
@@ -162,15 +174,13 @@ def test_evidence_helpers():
 
 def test_rearranged_frozen():
     # d = 1, r = inf: V = [1, 3, 5], psi(m) = 1/m with psi(0) read as psi(1)
-    sd = lattice.shell_counts(math.inf, 1, 2)
-    m, lv = stream_runs(RearrangedWeight(WeightFunction("power", s=1.0), sd), 5)
+    m, lv = stream_runs(RearrangedWeight(WeightFunction("power", s=1.0), math.inf, 1), 5)
     assert m.tolist() == [0, 1, 1, 2, 2]
     assert np.exp(lv).tolist() == [1.0, 1.0, 1.0, 0.5, 0.5]
 
 
 def test_rearranged_p_power():
-    sd = lattice.shell_counts(math.inf, 1, 2)
-    rw = RearrangedWeight(WeightFunction("power", s=1.0), sd, p_power=2.0)
+    rw = RearrangedWeight(WeightFunction("power", s=1.0), math.inf, 1, p_power=2.0)
     assert np.exp(stream_runs(rw, 5)[1]).tolist() == [1.0, 1.0, 1.0, 0.25, 0.25]
 
 
@@ -178,8 +188,7 @@ def test_rearranged_matches_sorted_enumeration():
     # oracle: enumerate the ball, sort the weighted norms, compare exactly
     for r, d in [(math.inf, 1), (1, 2), (2, 2)]:
         psi = WeightFunction("powerlog", s=1.0, eps=-1.0)
-        sd = lattice.shell_counts(r, d, 8)
-        rw = RearrangedWeight(psi, sd)
+        rw = RearrangedWeight(psi, r, d)
         pts = lattice.enumerate_ball(8, r, d)
         oracle = sorted((psi(float(lattice.shell_index(k, r))) for k in pts),
                         reverse=True)
@@ -188,9 +197,8 @@ def test_rearranged_matches_sorted_enumeration():
 
 
 def test_rearranged_on_demand_extension():
-    sd = lattice.shell_counts(math.inf, 1, 2)
-    rw = RearrangedWeight(WeightFunction("power", s=2.0), sd)
-    # j = 10^6 lies far beyond the seeded decomposition
+    rw = RearrangedWeight(WeightFunction("power", s=2.0), math.inf, 1)
+    # j = 10^6 lies far beyond the stream's first table
     m, lv = stream_runs(rw, 1_000_000)
     assert m[-1] == (1_000_000 - 1) // 2 + 1
     assert math.exp(lv[-1]) == pytest.approx(float(m[-1]) ** -2.0)
@@ -198,6 +206,6 @@ def test_rearranged_on_demand_extension():
 
 def test_log_values_match():
     psi = WeightFunction("exp", R=1.5)
-    rw = RearrangedWeight(psi, lattice.shell_counts(math.inf, 2, 6), p_power=0.5)
+    rw = RearrangedWeight(psi, math.inf, 2, p_power=0.5)
     m, lv = stream_runs(rw, 119)
     np.testing.assert_allclose(np.exp(lv), psi(np.maximum(m, 1)) ** 0.5, rtol=1e-13)
