@@ -27,7 +27,7 @@ def main():
                 kmax = int(np.max(np.abs(gamma)))
                 g = GridSpec(d=1, N=6 * kmax + 1)
                 keys = [(int(k),) for k in gamma]
-                val = exponential_sum_norm(keys, p, g, cube_scale=None)
+                val = exponential_sum_norm(keys, p, g)
                 ratios.append(val / n ** (1.0 - 1.0 / p))
                 f = CoefficientSequence(d=1, entries={k: 1.0 for k in keys})
                 gaps.append(hausdorff_young_gap(f, p, g))

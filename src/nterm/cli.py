@@ -1,13 +1,17 @@
 """Command-line interface.
 
 One command per process.  Subcommands: shells, hfunc, en-class,
-greedy, lemma51, rates, check-psi.  Tabular results go to stdout as
-CSV (or to ``--out``); every command also emits a JSON document
+greedy, lemma51, rates, check-psi.  Each command takes only the flags
+it reads, declared once in its ``_SUBCOMMANDS`` row, plus ``--out``,
+``--json-out`` and ``--config``.  Tabular results go to stdout as CSV
+(or to ``--out``); every command also emits a JSON document
 (``--json-out`` or stdout for scalar results) whose metadata block
-round-trips the resolved flags.  A ``--config FILE`` JSON object
-(keyed like that metadata block) supplies flags: it is parsed as if
-its ``--key value`` pairs came right after the subcommand, so explicit
-flags win and every value is validated like the flag it sets.
+records the command's own flags as resolved, so it round-trips.  A
+``--config FILE`` JSON object (keyed like that metadata block)
+supplies flags: it is parsed as if its ``--key value`` pairs came
+right after the subcommand, so explicit flags win, every value is
+validated like the flag it sets, and a key the command does not take
+is an error.
 
 Exit status: 0 on success, 1 on a compute error (a machine-readable
 JSON error record is written to stderr), 2 on parse or validation
@@ -102,44 +106,18 @@ def _flag(*names: str, **kwargs) -> tuple:
 _R = _flag("--r", type=_parse_r, default=math.inf)
 _D = _flag("--d", type=int, default=1)
 _N_LIST = _flag("--n", type=_parse_int_list, help="n or comma list")
+_BUDGET = _flag("--budget", type=int,
+                help="override enumeration/grid point budgets (also env NTERM_BUDGET_POINTS)")
+_SCAN = (
+    _flag("--scan-budget", type=int, default=DEFAULT_SCAN_BUDGET,
+          help="threshold-scan budget for the extremal functionals"),
+    _flag("--tol", type=float, default=DEFAULT_TOL, help="relative tail truncation tolerance"),
+)
 _COMMON = (
     _flag("--out", help="write CSV table here instead of stdout"),
     _flag("--json-out", help="write the JSON mirror here"),
     _flag("--config", help="JSON file of flag defaults (explicit flags win)"),
-    _flag("--budget", type=int,
-          help="override enumeration/grid point budgets (also env NTERM_BUDGET_POINTS)"),
-    _flag("--scan-budget", type=int, default=DEFAULT_SCAN_BUDGET,
-          help="threshold-scan budget for the extremal functionals"),
-    _flag("--tol", type=float, default=DEFAULT_TOL, help="relative tail truncation tolerance"),
-    _flag("--seed", type=int, default=0, help="RNG seed for randomized sweeps"),
 )
-
-# subcommand -> (help line, flags before the common ones), in help order
-_SUBCOMMANDS = {
-    "shells": ("shell counts of the integer lattice and growth fit", (
-        _R, _D, _flag("--m-max", type=int))),
-    "hfunc": ("extremal functional H_n over a rearranged weight", (
-        _flag("--psi", help="weight, e.g. power:s=2 or const"),
-        _flag("--n", type=int), _flag("--s", type=float), _R, _D,
-        _flag("--p-power", type=float, default=1.0, help="rearrange psi^p-power instead of psi"))),
-    "en-class": ("exact best n-term class error in the p coefficient norm", (
-        _flag("--psi"), _flag("--q", type=float), _flag("--p", type=float), _N_LIST, _R, _D)),
-    "greedy": ("greedy n-term remainder of a coefficient file", (
-        _flag("--in", dest="infile", help="coefficient sequence JSON"),
-        _N_LIST, _flag("--p", type=float))),
-    "lemma51": ("L_p norms of random unit exponential sums", (
-        _flag("--n-grid", type=_parse_int_list),
-        _flag("--p", type=_parse_float_list, help="p or comma list"),
-        _D, _flag("--trials", type=int, default=5), _flag("--cube-scale", type=float, default=2.0))),
-    "rates": ("computed vs predicted order table with ratio window", (
-        _flag("--quantity", choices=rates.QUANTITIES),
-        _flag("--theorem", choices=rates.THEOREM_TAGS),
-        _flag("--psi"),
-        _flag("--n-grid", type=_parse_int_list),
-        _flag("--q", type=float), _flag("--p", type=float), _flag("--s", type=float), _R, _D)),
-    "check-psi": ("slow-vanishing class and decay-condition evidence", (
-        _flag("--psi"), _flag("--s", type=float, help="also check the decay condition at this s"), _D)),
-}
 
 
 def _formatter():
@@ -164,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=fmt,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, flags) in _SUBCOMMANDS.items():
+    for name, (_, help_line, _, flags) in _SUBCOMMANDS.items():
         _with_flags(sub.add_parser(name, formatter_class=fmt, help=help_line), flags)
     return parser
 
@@ -172,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _parse(argv: list[str]) -> argparse.Namespace:
     if argv and argv[0] in _SUBCOMMANDS:
         parser = argparse.ArgumentParser(prog=f"nterm {argv[0]}", formatter_class=_formatter())
-        args, extras = _with_flags(parser, _SUBCOMMANDS[argv[0]][1]).parse_known_args(argv[1:])
+        args, extras = _with_flags(parser, _SUBCOMMANDS[argv[0]][3]).parse_known_args(argv[1:])
         if not extras:
             args.command = argv[0]
             return args
@@ -207,23 +185,14 @@ def _apply_config(argv: list[str]) -> argparse.Namespace:
     return _parse(argv[:at] + tokens + argv[at:])
 
 
-_REQUIRED = {
-    "shells": ("m_max",),
-    "hfunc": ("psi", "n", "s"),
-    "en-class": ("psi", "q", "p", "n"),
-    "greedy": ("infile", "n", "p"),
-    "lemma51": ("n_grid", "p"),
-    "rates": ("quantity", "psi", "n_grid"),
-    "check-psi": ("psi",),
-}
-
-
-def _validate_required(args: argparse.Namespace) -> None:
-    missing = [d for d in _REQUIRED[args.command] if getattr(args, d) is None]
+def _validate(args: argparse.Namespace) -> None:
+    missing = [d for d in _SUBCOMMANDS[args.command][2] if getattr(args, d) is None]
     if missing:
         flags = ", ".join("--" + ("in" if d == "infile" else d.replace("_", "-"))
                           for d in missing)
         raise CliValidationError(f"missing required flags for {args.command}: {flags}")
+    if getattr(args, "budget", None) is not None and args.budget < 1:
+        raise CliValidationError(f"need --budget >= 1, got {args.budget}")
 
 
 def _emit(args, csv_text: str | None, result: dict) -> None:
@@ -308,6 +277,8 @@ def _cmd_lemma51(args) -> int:
         raise CliValidationError("need d >= 1, trials >= 1 and every n >= 1")
     if not 0.0 < args.cube_scale < math.inf:
         raise CliValidationError(f"need finite --cube-scale > 0, got {args.cube_scale}")
+    if not all(1.0 <= p < math.inf for p in args.p):
+        raise CliValidationError(f"need every --p finite and >= 1, got {args.p}")
     rng = np.random.default_rng(args.seed)
     buf = ["n,p,trial,norm,ratio"]
     rows = []
@@ -329,8 +300,7 @@ def _cmd_lemma51(args) -> int:
             for p in args.p:
                 N = trig_lp.grid_points(p, kmax, int(2 * math.ceil(p) * max(kmax, 1) + 1))
                 g = GridSpec(d=args.d, N=N)
-                val = trig_lp.exponential_sum_norm(gamma, p, g, cube_scale=None,
-                                                   budget=args.budget)
+                val = trig_lp.exponential_sum_norm(gamma, p, g, budget=args.budget)
                 ratio = val / n ** (1.0 - 1.0 / p)
                 rows.append({"n": n, "p": p, "trial": trial, "norm": val, "ratio": ratio})
                 buf.append(f"{n},{p:g},{trial},{val:.17g},{ratio:.17g}")
@@ -374,14 +344,38 @@ def _cmd_check_psi(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "shells": _cmd_shells,
-    "hfunc": _cmd_hfunc,
-    "en-class": _cmd_en_class,
-    "greedy": _cmd_greedy,
-    "lemma51": _cmd_lemma51,
-    "rates": _cmd_rates,
-    "check-psi": _cmd_check_psi,
+# subcommand -> (handler, help line, required flag dests, flags before
+# the common ones), in help order
+_SUBCOMMANDS = {
+    "shells": (_cmd_shells, "shell counts of the integer lattice and growth fit", ("m_max",), (
+        _R, _D, _flag("--m-max", type=int), _BUDGET)),
+    "hfunc": (_cmd_hfunc, "extremal functional H_n over a rearranged weight", ("psi", "n", "s"), (
+        _flag("--psi", help="weight, e.g. power:s=2 or const"),
+        _flag("--n", type=int), _flag("--s", type=float), _R, _D,
+        _flag("--p-power", type=float, default=1.0, help="rearrange psi^p-power instead of psi"),
+        _BUDGET, *_SCAN)),
+    "en-class": (_cmd_en_class, "exact best n-term class error in the p coefficient norm",
+                 ("psi", "q", "p", "n"), (
+        _flag("--psi"), _flag("--q", type=float), _flag("--p", type=float), _N_LIST, _R, _D,
+        _BUDGET, *_SCAN)),
+    "greedy": (_cmd_greedy, "greedy n-term remainder of a coefficient file", ("infile", "n", "p"), (
+        _flag("--in", dest="infile", help="coefficient sequence JSON"),
+        _N_LIST, _flag("--p", type=float))),
+    "lemma51": (_cmd_lemma51, "L_p norms of random unit exponential sums", ("n_grid", "p"), (
+        _flag("--n-grid", type=_parse_int_list),
+        _flag("--p", type=_parse_float_list, help="p or comma list"),
+        _D, _flag("--trials", type=int, default=5), _flag("--cube-scale", type=float, default=2.0),
+        _BUDGET, _flag("--seed", type=int, default=0, help="RNG seed of the frequency sets"))),
+    "rates": (_cmd_rates, "computed vs predicted order table with ratio window",
+              ("quantity", "psi", "n_grid"), (
+        _flag("--quantity", choices=rates.QUANTITIES),
+        _flag("--theorem", choices=rates.THEOREM_TAGS),
+        _flag("--psi"),
+        _flag("--n-grid", type=_parse_int_list),
+        _flag("--q", type=float), _flag("--p", type=float), _flag("--s", type=float), _R, _D,
+        _BUDGET, *_SCAN)),
+    "check-psi": (_cmd_check_psi, "slow-vanishing class and decay-condition evidence", ("psi",), (
+        _flag("--psi"), _flag("--s", type=float, help="also check the decay condition at this s"), _D)),
 }
 
 
@@ -389,18 +383,10 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = _apply_config(argv)
+        _validate(args)
+        return _SUBCOMMANDS[args.command][0](args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except CliValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        _validate_required(args)
-    except CliValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return _COMMANDS[args.command](args)
     except (CliValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

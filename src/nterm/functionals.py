@@ -264,9 +264,8 @@ class _TailCertifier:
     ``bound`` are final once :meth:`feed` has returned True.
     """
 
-    def __init__(self, l: int, tol: float, max_doublings: int):
+    def __init__(self, l: int, tol: float):
         self.tol = tol
-        self.max_doublings = max_doublings
         self.total = _Kahan()
         self.bound = 0.0
         self.next_cp = 2 * max(l, 8)
@@ -316,21 +315,15 @@ class _TailCertifier:
                 self.prev_ratio = ratio
             self.prev_window = window
             self.next_cp = 2 * int(V[i])
-            if self.windows > self.max_doublings:
+            if self.windows > MAX_DOUBLINGS:
                 raise DivergentTailError(
-                    f"tail not certified to tol={self.tol} within {self.max_doublings} dyadic windows"
+                    f"tail not certified to tol={self.tol} within {MAX_DOUBLINGS} dyadic windows"
                 )
         self.window = float(np.sum(terms[start:]))
         return False
 
 
-def tail_sum(
-    seq,
-    l: int,
-    s_prime: float,
-    tol: float = DEFAULT_TOL,
-    max_doublings: int = MAX_DOUBLINGS,
-) -> tuple[float, float]:
+def tail_sum(seq, l: int, s_prime: float, tol: float = DEFAULT_TOL) -> tuple[float, float]:
     """(value, bound) with value = sum_{j>l} Psi(j)^s' truncated so that
     the certified remainder is at most ``bound <= tol * value``.
 
@@ -347,13 +340,13 @@ def tail_sum(
     ------
     DivergentTailError
         When window sums stop decaying (divergent tail) or the bound
-        cannot reach ``tol`` within ``max_doublings`` windows.
+        cannot reach ``tol`` within ``MAX_DOUBLINGS`` windows.
     """
     if l < 0:
         raise ValueError(f"need l >= 0, got l={l}")
     if not 0.0 < tol < math.inf:
         raise ValueError(f"need finite tol > 0, got tol={tol}")
-    cert = _TailCertifier(int(l), tol, max_doublings)
+    cert = _TailCertifier(int(l), tol)
     for Vp, V, lv, _ in _blocks_with_lookahead(seq):
         if cert.feed(V, _tail_terms(Vp, V, lv, int(l), s_prime)):
             return cert.total.total, cert.bound
@@ -451,7 +444,7 @@ def _h_tail_regime(seq, ns, s, tol, scan_budget) -> list[FunctionalResult]:
             for acc, x in zip(segments, np.bincount(seg[summed], weights=terms[summed], minlength=closed)):
                 acc.add(float(x))
         if all_found:
-            cert = _TailCertifier(int(ls[-1]), tol, MAX_DOUBLINGS)
+            cert = _TailCertifier(int(ls[-1]), tol)
             if cert.feed(V, np.where(seg == len(ls) - 1, terms, 0.0)):
                 break
     # tail past each threshold, smallest parts first

@@ -325,27 +325,27 @@ class GrowthFit:
     ok: bool
 
 
-def fit_growth_bounds(sd: ShellDecomposition, k0: int = 1, cap: float = 16.0) -> GrowthFit:
+def fit_growth_bounds(sd: ShellDecomposition) -> GrowthFit:
     """Empirical growth constants for a shell decomposition.
 
-    Fits ``V_m^(1/d)`` linearly in ``m`` over ``m in (k0, m_max]`` (the
+    Fits ``V_m^(1/d)`` linearly in ``m`` over ``m in (1, m_max]`` (the
     slope to the d-th power estimates M0, which is exact whenever
     ``V_m^(1/d)`` is affine in m, as for r = inf) and then finds the
     smallest nonnegative shifts with
 
         M0 * (m - c1)^d < V_m <= M0 * (m + c2)^d
 
-    on the fitted range.  ``ok`` requires both shifts at most ``cap``.
+    on the fitted range.  ``ok`` requires both shifts at most 16.
 
     Raises
     ------
     ValueError
-        If fewer than two shells lie in (k0, m_max].
+        If fewer than two shells lie in (1, m_max].
     """
     m = np.arange(sd.m_max + 1, dtype=np.float64)
-    mask = m > k0
+    mask = m > 1
     if mask.sum() < 2:
-        raise ValueError(f"need at least two shells above k0={k0}, have {int(mask.sum())}")
+        raise ValueError(f"need at least two shells with m > 1, have {int(mask.sum())}")
     mm = m[mask]
     roots = sd.V[mask].astype(np.float64) ** (1.0 / sd.d)
     slope, _ = np.polyfit(mm, roots, 1)
@@ -361,5 +361,5 @@ def fit_growth_bounds(sd: ShellDecomposition, k0: int = 1, cap: float = 16.0) ->
     upper = M0 * (mm + c2) ** sd.d
     if np.any(upper < sd.V[mask]):
         c2 = c2 + 1e-9 * max(1.0, c2)
-    ok = bool(slope > 0 and c1 <= cap and c2 <= cap)
+    ok = bool(slope > 0 and c1 <= 16.0 and c2 <= 16.0)
     return GrowthFit(M0=M0, c1=c1, c2=c2, ok=ok)

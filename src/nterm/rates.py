@@ -191,7 +191,7 @@ def _greedy_witness_error(n: int, q: float, p: float, psi: WeightFunction, d: in
     amp = abs(next(iter(f.entries.values())))
     kmax = max(max(abs(c) for c in k) for k in f.entries)
     g = GridSpec(d=d, N=trig_lp.grid_points(p, kmax, 8 * max(kmax, 1) + 1))
-    return amp * trig_lp.exponential_sum_norm(rest, p, g, cube_scale=None, budget=budget)
+    return amp * trig_lp.exponential_sum_norm(rest, p, g, budget=budget)
 
 
 def rate_table(

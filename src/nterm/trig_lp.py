@@ -19,7 +19,6 @@ divisible by N.  Other p report a plain Riemann sum;
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,35 +118,16 @@ def grid_points(p: float, kmax: int, other: int) -> int:
     return other
 
 
-def exponential_sum_norm(
-    gamma,
-    p: float,
-    g: GridSpec,
-    cube_scale: float | None = 2.0,
-    budget: int | None = None,
-) -> float:
+def exponential_sum_norm(gamma, p: float, g: GridSpec, budget: int | None = None) -> float:
     """L_p norm of the unit-coefficient exponential sum over gamma.
 
-    ``gamma`` is an iterable of integer multi-indices (distinct).  When
-    ``cube_scale = c`` is given, warns if gamma leaves the cube
-    ``[-c n^(1/d), c n^(1/d)]^d`` with n = |gamma| (the regime in which
-    the norm is of order ``n^(1-1/p)``).
+    ``gamma`` is an iterable of integer multi-indices (distinct).
     """
     gamma = [tuple(int(c) for c in k) for k in gamma]
     if len(set(gamma)) != len(gamma):
         raise ValueError("frequency set gamma has repeated indices")
     if not gamma:
         return 0.0
-    n = len(gamma)
-    if cube_scale is not None:
-        side = cube_scale * n ** (1.0 / g.d)
-        worst = max(max(abs(c) for c in k) for k in gamma)
-        if worst > side * (1.0 + 1e-12):
-            warnings.warn(
-                f"frequency set reaches |k|_inf = {worst}, outside the cube of side "
-                f"{side:.3g} = {cube_scale:g} * n^(1/d)",
-                stacklevel=2,
-            )
     f = CoefficientSequence(d=g.d, entries={k: 1.0 for k in gamma})
     return lp_norm(f, p, g, budget=budget)
 

@@ -206,43 +206,34 @@ class ClassBReport:
     in_class: bool
 
 
-def check_class_b(
-    psi: WeightFunction,
-    c: float = 2.0,
-    t_grid=None,
-    vanish_threshold: float = 1e-6,
-    growth_cap: float = 10.0,
-) -> ClassBReport:
+def check_class_b(psi: WeightFunction) -> ClassBReport:
     """Grid evidence for membership in the slowly-vanishing weight class.
 
-    Reports min/max of psi(t)/psi(c t) over the grid, whether all ratios
-    exceed 1, whether their growth across the grid stays under
-    ``growth_cap`` (an unbounded ratio disqualifies, e.g. exponential
+    Reports min/max of psi(t)/psi(2t) over a log grid t in [1, 1e6],
+    whether all ratios exceed 1, whether their growth across the grid
+    stays under 10 (an unbounded ratio disqualifies, e.g. exponential
     weights), and whether psi at the largest grid point has dropped
-    below ``vanish_threshold``.
+    below 1e-6.
     """
-    if c <= 1.0:
-        raise ValueError(f"dilation factor c must exceed 1, got {c}")
-    grid = np.asarray(t_grid if t_grid is not None else np.geomspace(1.0, 1e6, 61), dtype=np.float64)
-    grid = np.sort(grid)
+    grid = np.geomspace(1.0, 1e6, 61)
     # log domain: psi may underflow well inside the grid (exp family)
-    log_ratios = psi.log_value(grid) - psi.log_value(c * grid)
+    log_ratios = psi.log_value(grid) - psi.log_value(2.0 * grid)
     with np.errstate(over="ignore"):
         ratios = np.exp(log_ratios)
         growth = float(np.exp(log_ratios[-1] - log_ratios[0]))
-    unbounded = growth > growth_cap
+    unbounded = growth > 10.0
     tail = float(psi(grid[-1]))
     above = bool(np.all(log_ratios > 0.0))
     return ClassBReport(
-        c=c,
+        c=2.0,
         min_ratio=float(ratios.min()),
         max_ratio=float(ratios.max()),
         ratios_above_one=above,
         ratio_growth=growth,
         unbounded_ratio=unbounded,
         psi_at_tmax=tail,
-        vanishing_evidence=tail < vanish_threshold,
-        in_class=above and not unbounded and tail < vanish_threshold,
+        vanishing_evidence=tail < 1e-6,
+        in_class=above and not unbounded and tail < 1e-6,
     )
 
 
@@ -265,26 +256,26 @@ class DecayReport:
     note: str = ""
 
 
-def check_decay_condition(
-    psi: WeightFunction,
-    s: float,
-    d: int,
-    t0: float = 1.0,
-    t_hi: float = 1e6,
-    points: int = 241,
-) -> DecayReport:
-    """Check sup_t alpha(psi, t) < s'/d on a log grid t in [t0, t_hi].
+def check_decay_condition(psi: WeightFunction, s: float, d: int) -> DecayReport:
+    """Check sup_t alpha(psi, t) < s'/d on a log grid t in [1, 1e6].
 
     For s <= 1 the condition is vacuous (s' is taken as +inf).  Weights
     with vanishing derivative report alpha_sup = inf and fail.
+
+    Raises
+    ------
+    ValueError
+        Unless d >= 1 and 0 < s < inf.
     """
+    if d < 1 or not 0.0 < s < math.inf:
+        raise ValueError(f"decay condition needs d >= 1 and finite s > 0, got s={s}, d={d}")
     if s > 1.0:
         s_prime = s / (s - 1.0)
         bound = s_prime / d
     else:
         s_prime = math.inf
         bound = math.inf
-    grid = np.geomspace(max(t0, 1.0), t_hi, points)
+    grid = np.geomspace(1.0, 1e6, 241)
     try:
         a = np.asarray(alpha(psi, grid))
     except ZeroDerivativeError:
@@ -299,16 +290,15 @@ def check_decay_condition(
     )
 
 
-def convexity_evidence(psi: WeightFunction, t_grid=None, h: float = 0.5) -> bool:
-    """Discrete convexity check psi(t-h) + psi(t+h) >= 2 psi(t) on a grid."""
-    grid = np.asarray(t_grid if t_grid is not None else np.geomspace(1.0 + h, 1e6, 61))
-    return bool(np.all(psi(grid - h) + psi(grid + h) >= 2.0 * psi(grid) * (1.0 - 1e-12)))
+def convexity_evidence(psi: WeightFunction) -> bool:
+    """Discrete convexity check psi(t-h) + psi(t+h) >= 2 psi(t), h = 1/2, on a log grid."""
+    grid = np.geomspace(1.5, 1e6, 61)
+    return bool(np.all(psi(grid - 0.5) + psi(grid + 0.5) >= 2.0 * psi(grid) * (1.0 - 1e-12)))
 
 
-def decreasing_evidence(psi: WeightFunction, t_grid=None) -> bool:
-    """True when psi is nonincreasing along the (sorted) grid."""
-    grid = np.sort(np.asarray(t_grid if t_grid is not None else np.geomspace(1.0, 1e6, 241)))
-    vals = psi(grid)
+def decreasing_evidence(psi: WeightFunction) -> bool:
+    """True when psi is nonincreasing along a log grid t in [1, 1e6]."""
+    vals = psi(np.geomspace(1.0, 1e6, 241))
     return bool(np.all(np.diff(vals) <= 1e-15 * vals[:-1]))
 
 

@@ -34,8 +34,7 @@ def test_metadata_round_trips_every_flag(tmp_path, capsys):
     jpath = tmp_path / "h.json"
     argv = ["hfunc", "--psi", "power:s=2", "--n", "4", "--s", "0.5",
             "--r", "inf", "--d", "1", "--p-power", "2.0", "--tol", "1e-8",
-            "--scan-budget", "50000", "--seed", "7",
-            "--json-out", str(jpath)]
+            "--scan-budget", "50000", "--json-out", str(jpath)]
     assert main(argv) == 0
     capsys.readouterr()
     meta = json.loads(jpath.read_text())["metadata"]
@@ -46,7 +45,6 @@ def test_metadata_round_trips_every_flag(tmp_path, capsys):
     assert meta["p_power"] == 2.0
     assert meta["tol"] == 1e-8
     assert meta["scan_budget"] == 50000
-    assert meta["seed"] == 7
     assert meta["budget"] is None
 
 
@@ -151,6 +149,11 @@ def test_config_values_parse_like_flags(tmp_path, capsys):
     assert main(["hfunc", "--config", str(cfg)]) == 2
     assert "tolerance" in capsys.readouterr().err
 
+    # a key of a flag that hfunc does not take, as in older metadata blocks
+    cfg.write_text(json.dumps({"psi": "power:s=2", "n": 4, "s": 0.5, "seed": 0}))
+    assert main(["hfunc", "--config", str(cfg)]) == 2
+    assert "unknown config key 'seed'" in capsys.readouterr().err
+
     cfg.write_text(json.dumps({"command": "rates", "psi": "power:s=2", "n": 4, "s": 0.5}))
     assert main(["hfunc", "--config", str(cfg)]) == 2
     capsys.readouterr()
@@ -202,6 +205,15 @@ def test_metadata_block_as_config_reproduces_result(argv, tmp_path, capsys):
     (["lemma51", "--n-grid", "4", "--p", "2", "--cube-scale", "inf"], "--cube-scale > 0"),
     (["lemma51", "--n-grid", "4", "--p", "2", "--cube-scale", "nan"], "--cube-scale > 0"),
     (["lemma51", "--n-grid", "4", "--p", "2", "--cube-scale", "0"], "--cube-scale > 0"),
+    (["check-psi", "--psi", "power:s=2", "--s", "2", "--d", "0"], "d >= 1 and finite s > 0"),
+    (["check-psi", "--psi", "power:s=2", "--s", "nan"], "d >= 1 and finite s > 0"),
+    (["check-psi", "--psi", "power:s=2", "--s", "-1"], "d >= 1 and finite s > 0"),
+    (["check-psi", "--psi", "power:s=2", "--s", "inf"], "d >= 1 and finite s > 0"),
+    (["lemma51", "--n-grid", "4", "--p", "inf"], "--p finite and >= 1"),
+    (["lemma51", "--n-grid", "4", "--p", "2,nan"], "--p finite and >= 1"),
+    (["lemma51", "--n-grid", "4", "--p", "2", "--budget", "0"], "--budget >= 1"),
+    (["lemma51", "--n-grid", "4", "--p", "2", "--budget", "-5"], "--budget >= 1"),
+    (["shells", "--m-max", "4", "--budget", "0"], "--budget >= 1"),
 ])
 def test_invalid_inputs_exit_2_naming_the_limit(argv, limit, capsys):
     with warnings.catch_warnings():
@@ -238,6 +250,9 @@ def test_lemma51_seeded_rerun(tmp_path, capsys):
         assert main(argv) == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
+    assert main(argv + ["--json-out", str(tmp_path / "l.json")]) == 0
+    assert capsys.readouterr().out == outs[0]
+    assert json.loads((tmp_path / "l.json").read_text())["metadata"]["seed"] == 3
     header, first = outs[0].split("\n")[:2]
     assert header == "n,p,trial,norm,ratio"
     assert first.startswith("8,2,0,")
@@ -345,9 +360,9 @@ _VALID_ARGV = [
     ["hfunc", "--psi", "power:s=2", "--n", "4", "--s", "0.5", "--p-power", "2"],
     ["en-class", "--psi", "power:s=2", "--q", "1", "--p", "2", "--n", "2,4", "--tol", "1e-8"],
     ["greedy", "--in", "f.json", "--n", "1,2", "--p", "2"],
-    ["lemma51", "--n-grid", "8,16", "--p", "2,3", "--cube-scale", "1.5"],
+    ["lemma51", "--n-grid", "8,16", "--p", "2,3", "--cube-scale", "1.5", "--seed", "3"],
     ["rates", "--quantity", "class_sp", "--psi", "power:s=2", "--n-grid", "4", "--q", "1", "--p", "2"],
-    ["check-psi", "--psi", "power:s=2", "--s", "2", "--seed", "3"],
+    ["check-psi", "--psi", "power:s=2", "--s", "2", "--d", "2"],
 ]
 _USAGE_ARGV = [[], ["--help"], ["bogus"], ["--x", "hfunc"]] + [
     [argv[0], *tail] for argv in _VALID_ARGV
@@ -391,3 +406,42 @@ def test_valid_argv_never_builds_the_full_parser(monkeypatch, capsys):
     assert main(["en-class", "--psi", "power:s=2", "--q", "1", "--p", "2", "--n", "2,4"]) == 0
     assert main(["hfunc", "--psi", "power:s=2", "--n", "4", "--s", "0.5"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["greedy", "--in", "f.json", "--n", "1", "--p", "2", "--tol", "1e-3"],
+    ["shells", "--m-max", "4", "--seed", "1"],
+    ["check-psi", "--psi", "power:s=2", "--budget", "5"],
+    ["lemma51", "--n-grid", "4", "--p", "2", "--scan-budget", "9"],
+    ["hfunc", "--psi", "power:s=2", "--n", "4", "--s", "0.5", "--seed", "7"],
+], ids=" ".join)
+def test_flag_of_another_command_exits_2(argv, capsys):
+    assert main(argv) == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+
+# the scoped flags each command takes (--out, --json-out and --config go everywhere)
+_SCOPED = {
+    "shells": {"budget"},
+    "hfunc": {"budget", "scan_budget", "tol"},
+    "en-class": {"budget", "scan_budget", "tol"},
+    "greedy": set(),
+    "lemma51": {"budget", "seed"},
+    "rates": {"budget", "scan_budget", "tol"},
+    "check-psi": set(),
+}
+
+
+@pytest.mark.parametrize("argv", _VALID_ARGV, ids=lambda argv: argv[0])
+def test_metadata_holds_the_command_flags(argv, tmp_path, monkeypatch, capsys):
+    from nterm.cli import _COMMON, _SUBCOMMANDS
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.json").write_text(CoefficientSequence(d=1, entries={(0,): 3.0, (2,): -4.0}).to_json())
+    assert main(argv + ["--json-out", "m.json"]) == 0
+    capsys.readouterr()
+    meta = json.loads((tmp_path / "m.json").read_text())["metadata"]
+    flags = _SUBCOMMANDS[argv[0]][3] + _COMMON
+    dests = {kwargs.get("dest", names[0][2:].replace("-", "_")) for names, kwargs in flags}
+    assert set(meta) == dests | {"command"}
+    assert set(meta) & {"budget", "scan_budget", "tol", "seed"} == _SCOPED[argv[0]]

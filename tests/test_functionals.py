@@ -118,10 +118,10 @@ def test_tol_and_s_must_be_finite_and_positive():
 
 def test_tail_sum_divergent():
     with pytest.raises(DivergentTailError):
-        tail_sum(power_seq(1.0), 1, 1.0, max_doublings=24)    # harmonic
+        tail_sum(power_seq(1.0), 1, 1.0)    # harmonic
     ones = ExplicitSequence(lambda j: np.ones_like(np.asarray(j, dtype=float)))
     with pytest.raises(DivergentTailError):
-        tail_sum(ones, 1, 2.0, max_doublings=24)
+        tail_sum(ones, 1, 2.0)
 
 
 def test_h_constant_budget_limit():

@@ -1,5 +1,4 @@
 import math
-import warnings
 from collections import Counter
 
 import numpy as np
@@ -125,16 +124,6 @@ def test_holder_monotone_in_p():
 def test_distinct_gamma_required():
     with pytest.raises(ValueError):
         exponential_sum_norm([(1,), (1,)], 2.0, GridSpec(d=1, N=8))
-
-
-def test_cube_warning():
-    g = GridSpec(d=1, N=512)
-    with pytest.warns(UserWarning):
-        exponential_sum_norm([(0,), (100,)], 2.0, g)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        exponential_sum_norm([(0,), (100,)], 2.0, g, cube_scale=None)
-        exponential_sum_norm([(0,), (3,)], 2.0, g)
 
 
 def test_hausdorff_young_gap():
