@@ -41,8 +41,7 @@ constant-value runs, where boundaries are cumulative positions.  The
 functionals call it once per evaluation and stop consuming as soon as
 they are done.  ``weights.RearrangedWeight`` implements it shell-wise,
 with blocks that start at 16 shells and double up to 4096, so the shell
-table grows only as far as a scan reads; :class:`ExplicitSequence`
-wraps an arbitrary callable with runs of length one, 4096 per block.
+table grows only as far as a scan reads.
 
 Prefix sums ``S(l)`` are accumulated in the log domain (``logaddexp``),
 so fast-decaying weights, where ``Psi(j)^(-s)`` overflows, stay usable;
@@ -54,7 +53,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -86,30 +84,6 @@ class FunctionalResult:
     l_star: int | None
     regime: str  # 'sup' or 'tail'
     tail_truncation_error_bound: float = 0.0
-
-
-class ExplicitSequence:
-    """Adapter turning a vectorized callable j -> Psi(j) into a sequence.
-
-    ``fn`` must accept an int64 ndarray and return positive values; an
-    optional ``log_fn`` supplies log Psi directly for values far below
-    the float range.
-    """
-
-    def __init__(self, fn: Callable, log_fn: Callable | None = None):
-        self.fn = fn
-        self.log_fn = log_fn
-
-    def iter_blocks(self):
-        j0 = 1
-        while True:
-            j_arr = np.arange(j0, j0 + 4096, dtype=np.int64)
-            if self.log_fn is not None:
-                lv = self.log_fn(j_arr)
-            else:
-                lv = np.log(np.asarray(self.fn(j_arr), dtype=np.float64))
-            yield j_arr, np.asarray(lv, dtype=np.float64)
-            j0 += 4096
 
 
 class _Kahan:
@@ -227,6 +201,8 @@ def find_l_star(seq, n: int, s: float, scan_budget: int = DEFAULT_SCAN_BUDGET) -
 
     Raises
     ------
+    ValueError
+        Unless n >= 0, s is finite and > 0, and scan_budget >= 1.
     NoThresholdError
         If no index up to ``scan_budget`` satisfies the predicate
         (e.g. a sequence that does not vanish).
@@ -235,6 +211,8 @@ def find_l_star(seq, n: int, s: float, scan_budget: int = DEFAULT_SCAN_BUDGET) -
         raise ValueError(f"need n >= 0, got n={n}")
     if not 0.0 < s < math.inf:
         raise ValueError(f"need finite s > 0, got s={s}")
+    if scan_budget < 1:
+        raise ValueError(f"need scan_budget >= 1, got scan_budget={scan_budget}")
     thresholds = _Thresholds(np.array([int(n)], dtype=np.int64), float(s), scan_budget)
     for block in _blocks_with_lookahead(seq):
         if thresholds.feed(*block):
@@ -392,7 +370,8 @@ def h_functional_grid(
     Raises
     ------
     ValueError
-        Unless every n >= 0, s is finite and > 0, and tol is finite and > 0.
+        Unless every n >= 0, s is finite and > 0, tol is finite and > 0,
+        and scan_budget >= 1.
     NoThresholdError
         When some n has no threshold index (s > 1) or no admissible
         l > n (s <= 1) within the scan budget.
@@ -406,6 +385,8 @@ def h_functional_grid(
         raise ValueError(f"need finite s > 0, got s={s}")
     if not 0.0 < tol < math.inf:
         raise ValueError(f"need finite tol > 0, got tol={tol}")
+    if scan_budget < 1:
+        raise ValueError(f"need scan_budget >= 1, got scan_budget={scan_budget}")
     if not ns:
         return []
     grid = np.unique(np.array(ns, dtype=np.int64))

@@ -8,9 +8,11 @@ rounded-up quasi-norm equals ``m``.  Cumulative counts ``V_m`` grow like
 ``r = 1``; :func:`fit_growth_bounds` recovers the constants empirically.
 
 Shell counts are exact (integer arithmetic) for ``r in {1, inf}`` at
-any d and for ``r = 2`` at ``d <= 2``.  Every other case, ``r = 2`` at
-``d >= 3`` included, histograms an enumerated box with a float
-quasi-norm and a 1e-9 snap when rounding up to the shell index.
+any d, for every r at ``d = 1`` (``V_m = 2m + 1``) and for ``r = 2`` at
+``d = 2``.  Every other case, ``r = 2`` at ``d >= 3`` included,
+histograms an enumerated box with a float quasi-norm and a 1e-9 snap
+when rounding up to the shell index.  :func:`shell_index` is that rule
+for one point, and :func:`enumerate_ball` decides ball membership by it.
 """
 
 from __future__ import annotations
@@ -90,6 +92,9 @@ def shell_index(k, r) -> int:
 def enumerate_ball(m: int, r, d: int, budget: int | None = None) -> list[tuple[int, ...]]:
     """All k in Z^d with |k|_r <= m, in lexicographic order.
 
+    Membership is ``shell_index(k, r) <= m``, the rule the shell counts
+    use, so the ball holds exactly ``V_m`` points.
+
     Raises
     ------
     BudgetExceededError
@@ -106,33 +111,17 @@ def enumerate_ball(m: int, r, d: int, budget: int | None = None) -> list[tuple[i
         raise BudgetExceededError(
             f"ball enumeration needs {(2 * m + 1) ** d} candidate points, budget is {limit}"
         )
-    if math.isinf(r):
-        return list(product(range(-m, m + 1), repeat=d))
-    out = []
-    if r == 1.0:
-        for k in product(range(-m, m + 1), repeat=d):
-            if sum(abs(c) for c in k) <= m:
-                out.append(k)
-        return out
-    if r == 2.0:
-        mm = m * m
-        for k in product(range(-m, m + 1), repeat=d):
-            if sum(c * c for c in k) <= mm:
-                out.append(k)
-        return out
-    rf = float(r)
-    cap = float(m) ** rf * (1.0 + 1e-12)
-    for k in product(range(-m, m + 1), repeat=d):
-        if sum(float(abs(c)) ** rf for c in k) <= cap:
-            out.append(k)
-    return out
+    return [k for k in product(range(-m, m + 1), repeat=d) if shell_index(k, r) <= m]
 
 
 # --- cumulative ball counts -------------------------------------------------
 
 def has_closed_counts(r, d: int) -> bool:
-    """True when ball_counts has a non-enumerative formula for (r, d)."""
-    return math.isinf(r) or r == 1.0 or (r == 2.0 and d <= 2)
+    """True when ball_counts has a non-enumerative formula for (r, d).
+
+    At d = 1 the ball of radius m is {-m, ..., m} for every r.
+    """
+    return d == 1 or math.isinf(r) or r == 1.0 or (r == 2.0 and d == 2)
 
 
 def _binom_poly(m: np.ndarray, i: int) -> np.ndarray:
@@ -174,8 +163,8 @@ _INT64_MAX = np.iinfo(np.int64).max
 
 
 def _count_bound(r, d: int, m: int) -> int:
-    # V_m in Python ints for r in {1, inf} and r = 2, d = 1; the bounding
-    # cube (2m+1)^d, an upper bound, for r = 2, d = 2
+    # V_m in Python ints for r in {1, inf} and for every r at d = 1; the
+    # bounding cube (2m+1)^d, an upper bound, for r = 2, d = 2
     if r == 1.0:
         return sum(2**i * math.comb(d, i) * math.comb(m, i) for i in range(d + 1))
     return (2 * m + 1) ** d
@@ -217,7 +206,7 @@ def ball_counts(r, d: int, m) -> np.ndarray:
         return (2 * m_arr + 1) ** d
     if r == 1.0:
         return _counts_l1(m_arr, d)
-    if r == 2.0 and d == 1:
+    if d == 1:
         return 2 * m_arr + 1
     if r == 2.0 and d == 2:
         table = _counts_l2_d2(int(m_arr.max()))
@@ -234,10 +223,6 @@ def _counts_enumerated(r, d: int, m_max: int, budget: int | None) -> np.ndarray:
         )
     nu = np.zeros(m_max + 1, dtype=np.int64)
     rf = float(r)
-    if d == 1:
-        nu[0] = 1
-        nu[1:] = 2
-        return np.cumsum(nu)
     # vectorize over all but the first coordinate
     rest = np.array(
         list(product(range(-m_max, m_max + 1), repeat=d - 1)), dtype=np.int64
@@ -284,9 +269,9 @@ class ShellDecomposition:
 def shell_counts(r, d: int, m_max: int, budget: int | None = None) -> ShellDecomposition:
     """Shell decomposition of Z^d under |.|_r up to radius m_max.
 
-    Uses closed forms for ``r in {1, inf}`` (any d) and ``r = 2`` with
-    ``d <= 2``; other cases enumerate a bounding box under the point
-    budget.  The table holds one entry per radius, and its length counts
+    Uses closed forms for ``r in {1, inf}`` (any d), every r at
+    ``d = 1`` and ``r = 2`` at ``d = 2``; other cases enumerate a
+    bounding box under the point budget.  The table holds one entry per radius, and its length counts
     against the point budget like enumerated points do.
 
     Raises

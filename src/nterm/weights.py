@@ -29,6 +29,7 @@ table and grows it as far as the stream is consumed.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -68,18 +69,29 @@ class WeightFunction:
 
     # --- evaluation (scalar or ndarray, t >= 0 with psi(0) := psi(1)) ---
 
+    @contextlib.contextmanager
+    def _no_overflow(self):
+        # underflow stays silent: exp-family values vanish below the float range
+        try:
+            with np.errstate(over="raise"):
+                yield
+        except FloatingPointError:
+            raise OverflowError(f"weight {self.spec_string()} overflows the float range") from None
+
     def __call__(self, t):
+        """psi(t); raises OverflowError when a value exceeds the float range."""
         t = np.maximum(np.asarray(t, dtype=np.float64), 1.0)
-        if self.family == "power":
-            out = t ** (-self.s)
-        elif self.family == "powerlog":
-            out = t ** (-self.s) * np.log(t + math.e) ** self.eps
-        elif self.family == "log":
-            out = np.log(t + math.e) ** self.eps
-        elif self.family == "exp":
-            out = self.R ** (-t)
-        else:
-            out = np.ones_like(t)
+        with self._no_overflow():
+            if self.family == "power":
+                out = t ** (-self.s)
+            elif self.family == "powerlog":
+                out = t ** (-self.s) * np.log(t + math.e) ** self.eps
+            elif self.family == "log":
+                out = np.log(t + math.e) ** self.eps
+            elif self.family == "exp":
+                out = self.R ** (-t)
+            else:
+                out = np.ones_like(t)
         return out if out.ndim else float(out)
 
     def log_value(self, t):
@@ -98,23 +110,24 @@ class WeightFunction:
         return out if out.ndim else float(out)
 
     def derivative(self, t):
-        """Analytic psi'(t) for t >= 1."""
+        """Analytic psi'(t) for t >= 1; raises OverflowError like __call__."""
         t = np.asarray(t, dtype=np.float64)
         if np.any(t < 1.0):
             raise ValueError("derivative defined for t >= 1")
-        if self.family == "power":
-            out = -self.s * t ** (-self.s - 1.0)
-        elif self.family == "powerlog":
-            ln = np.log(t + math.e)
-            out = t ** (-self.s) * ln ** (self.eps - 1.0) * (
-                self.eps / (t + math.e) - self.s * ln / t
-            )
-        elif self.family == "log":
-            out = self.eps * np.log(t + math.e) ** (self.eps - 1.0) / (t + math.e)
-        elif self.family == "exp":
-            out = -math.log(self.R) * self.R ** (-t)
-        else:
-            out = np.zeros_like(t)
+        with self._no_overflow():
+            if self.family == "power":
+                out = -self.s * t ** (-self.s - 1.0)
+            elif self.family == "powerlog":
+                ln = np.log(t + math.e)
+                out = t ** (-self.s) * ln ** (self.eps - 1.0) * (
+                    self.eps / (t + math.e) - self.s * ln / t
+                )
+            elif self.family == "log":
+                out = self.eps * np.log(t + math.e) ** (self.eps - 1.0) / (t + math.e)
+            elif self.family == "exp":
+                out = -math.log(self.R) * self.R ** (-t)
+            else:
+                out = np.zeros_like(t)
         return out if out.ndim else float(out)
 
     def raised_to(self, a: float) -> "WeightFunction":

@@ -9,7 +9,7 @@ import math
 import time
 
 import numpy as np
-from conftest import stream_runs
+from conftest import ExplicitSequence, stream_runs
 
 from nterm import lattice
 from nterm.approx import (
@@ -21,7 +21,7 @@ from nterm.approx import (
     greedy_remainder_sp,
     sp_norm,
 )
-from nterm.functionals import ExplicitSequence, find_l_star, h_functional
+from nterm.functionals import find_l_star, h_functional
 from nterm.trig_lp import GridSpec, evaluate_on_grid, hausdorff_young_gap
 from nterm.weights import RearrangedWeight, WeightFunction
 

@@ -214,6 +214,11 @@ def test_metadata_block_as_config_reproduces_result(argv, tmp_path, capsys):
     (["lemma51", "--n-grid", "4", "--p", "2", "--budget", "0"], "--budget >= 1"),
     (["lemma51", "--n-grid", "4", "--p", "2", "--budget", "-5"], "--budget >= 1"),
     (["shells", "--m-max", "4", "--budget", "0"], "--budget >= 1"),
+    (["hfunc", "--psi", "power:s=2", "--n", "4", "--s", "0.5", "--scan-budget", "-5"], "scan_budget >= 1"),
+    (["en-class", "--psi", "power:s=2", "--q", "1", "--p", "2", "--n", "4", "--scan-budget", "-1"],
+     "scan_budget >= 1"),
+    (["rates", "--quantity", "class_sp", "--psi", "power:s=2", "--n-grid", "4", "--q", "1", "--p", "2",
+      "--scan-budget", "0"], "scan_budget >= 1"),
 ])
 def test_invalid_inputs_exit_2_naming_the_limit(argv, limit, capsys):
     with warnings.catch_warnings():
@@ -290,6 +295,16 @@ def test_int64_overflow_exit_1_json_record(capsys):
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"]["type"] == "OverflowError"
     assert "past radius 723" in record["error"]["message"]
+
+
+@pytest.mark.parametrize("spec", ["powerlog:s=1,eps=400", "powerlog:s=1e-300,eps=1e300"])
+def test_weight_overflow_exit_1_json_record(spec, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["check-psi", "--psi", spec, "--s", "2"]) == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"]["type"] == "OverflowError"
+    assert "overflows the float range" in record["error"]["message"]
 
 
 def test_sup_scan_budget_exit_1_json_record(capsys):

@@ -3,13 +3,12 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from conftest import stream_runs
+from conftest import ExplicitSequence, stream_runs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nterm.functionals import (
     DivergentTailError,
-    ExplicitSequence,
     NoThresholdError,
     find_l_star,
     h_functional,

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nterm import lattice
 from nterm.lattice import (
@@ -67,6 +69,19 @@ def test_enumerate_ball_small():
     assert (0, 0) in pts and (-1, 1) in pts
     pts1 = enumerate_ball(2, 1, 2)
     assert len(pts1) == 13
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([0.5, 1, 1.5, 2, 3, math.inf]), st.integers(1, 3), st.integers(0, 7))
+@example(1.5, 1, 5)
+def test_enumerate_ball_is_the_counted_ball(r, d, m):
+    pts = enumerate_ball(m, r, d)
+    assert len(pts) == shell_counts(r, d, m).V[m]
+    assert all(shell_index(k, r) <= m for k in pts)
+    assert pts == sorted(pts)
+    if d == 1:
+        # closed form for every r, so the table needs no (2m+1)-point box
+        assert shell_counts(r, 1, m, budget=m + 1).V.tolist() == (2 * np.arange(m + 1) + 1).tolist()
 
 
 def test_enumerate_ball_budget():
