@@ -216,6 +216,8 @@ def extremal_function_f1(n: int, q: float, psi: WeightFunction, d: int) -> Coeff
     ------
     ValueError
         If n is too small for the support radius to reach 1.
+    OverflowError
+        If ``sum psi^(-q)`` leaves the float range, so that C1 would be 0.
     """
     if not q > 0:
         raise ValueError(f"need q > 0, got q={q}")
@@ -232,7 +234,12 @@ def extremal_function_f1(n: int, q: float, psi: WeightFunction, d: int) -> Coeff
         raise ValueError(f"n={n} is too small for a d={d} witness (support radius below 1)")
     sd = lattice.shell_counts(1.0, d, R)
     m = np.arange(R + 1, dtype=np.float64)
-    inv_q_sum = float(np.sum(sd.nu * psi(np.maximum(m, 1.0)) ** (-q)))
+    # an overflowing (or underflowed, hence 0^-q) term makes the sum inf and C1 zero
+    with np.errstate(over="ignore", divide="ignore"):
+        inv_q_sum = float(np.sum(sd.nu * psi(np.maximum(m, 1.0)) ** (-q)))
     c1 = inv_q_sum ** (-1.0 / q)
+    if not c1 > 0.0:
+        raise OverflowError(f"witness normalization for {psi.spec_string()} at n={n}: "
+                            f"sum of psi^-q over the l1 ball leaves the float range")
     entries = {k: complex(c1) for k in lattice.enumerate_ball(R, 1.0, d)}
     return CoefficientSequence(d=d, entries=entries)

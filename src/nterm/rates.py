@@ -39,8 +39,24 @@ from .functionals import DEFAULT_SCAN_BUDGET, DEFAULT_TOL, h_functional_grid
 from .trig_lp import GridSpec
 from .weights import RearrangedWeight, WeightFunction
 
-THEOREM_TAGS = ("thm31_p_le_2", "thm31_p_ge_2", "lemma41", "assertion41")
+# tag -> (parameters it needs, exponent of n in the predicted rate)
+_RATE_EXPONENTS = {
+    "thm31_p_le_2": (("q", "p"), lambda q, p, s: 1.0 / q - 0.5),
+    "thm31_p_ge_2": (("q", "p"), lambda q, p, s: 1.0 / q + 1.0 / p - 1.0),
+    "lemma41": (("s",), lambda q, p, s: 1.0 / s - 1.0),
+    "assertion41": (("q", "p"), lambda q, p, s: 1.0 / q - 1.0 / p),
+}
+THEOREM_TAGS = tuple(_RATE_EXPONENTS)
 QUANTITIES = ("class_sp", "h_functional", "greedy_lp_witness")
+
+
+def _check_tag(theorem: str, q: float | None, p: float | None, s: float | None) -> None:
+    """Raise ValueError on an unknown tag or on a parameter it needs left unset."""
+    if theorem not in _RATE_EXPONENTS:
+        raise ValueError(f"unknown theorem tag {theorem!r}, expected one of {THEOREM_TAGS}")
+    needs = _RATE_EXPONENTS[theorem][0]
+    if any({"q": q, "p": p, "s": s}[name] is None for name in needs):
+        raise ValueError(f"{theorem} needs {' and '.join(needs)}")
 
 
 def predicted_rate(theorem: str, n: int, psi: WeightFunction, d: int,
@@ -52,27 +68,18 @@ def predicted_rate(theorem: str, n: int, psi: WeightFunction, d: int,
     ------
     ValueError
         On an unknown tag or missing parameters for it.
+    FloatingPointError
+        If the rate underflows to 0, which would leave computed/predicted
+        undefined.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")
-    base = float(psi(float(n) ** (1.0 / d)))
-    if theorem == "thm31_p_le_2":
-        if q is None or p is None:
-            raise ValueError("thm31_p_le_2 needs q and p")
-        return base / float(n) ** (1.0 / q - 0.5)
-    if theorem == "thm31_p_ge_2":
-        if q is None or p is None:
-            raise ValueError("thm31_p_ge_2 needs q and p")
-        return base / float(n) ** (1.0 / q + 1.0 / p - 1.0)
-    if theorem == "lemma41":
-        if s is None:
-            raise ValueError("lemma41 needs s")
-        return base / float(n) ** (1.0 / s - 1.0)
-    if theorem == "assertion41":
-        if q is None or p is None:
-            raise ValueError("assertion41 needs q and p")
-        return base / float(n) ** (1.0 / q - 1.0 / p)
-    raise ValueError(f"unknown theorem tag {theorem!r}, expected one of {THEOREM_TAGS}")
+    _check_tag(theorem, q, p, s)
+    rate = float(psi(float(n) ** (1.0 / d))) / float(n) ** _RATE_EXPONENTS[theorem][1](q, p, s)
+    if rate == 0.0:
+        raise FloatingPointError(f"predicted {theorem} rate for {psi.spec_string()} "
+                                 f"underflows to 0 at n={n}")
+    return rate
 
 
 def hypotheses_met(theorem: str, psi: WeightFunction, d: int,
@@ -84,59 +91,50 @@ def hypotheses_met(theorem: str, psi: WeightFunction, d: int,
     the tag needs it, and the decay-characteristic bound in the
     convention appropriate to the tag.
     """
-    try:
-        if theorem == "lemma41":
-            if s is None:
-                raise ValueError("lemma41 needs s")
-            rep = weights.check_class_b(psi)
-            if not rep.in_class:
-                return False, "weight lacks slow-vanishing class evidence"
-            if s > 1.0:
-                dec = weights.check_decay_condition(psi, s, d)
-                if not dec.satisfied:
-                    return False, (
-                        f"decay condition fails: sup alpha = {dec.alpha_sup:.4g} "
-                        f">= {dec.bound:.4g} = s'/d"
-                    )
-            return True, "ok"
-        if theorem == "assertion41":
-            if q is None or p is None:
-                raise ValueError("assertion41 needs q and p")
-            rep = weights.check_class_b(psi.raised_to(p))
-            if not rep.in_class:
-                return False, "psi^p lacks slow-vanishing class evidence"
-            if p < q:
-                dec = weights.check_decay_condition(psi.raised_to(p), q / p, d)
-                if not dec.satisfied:
-                    return False, (
-                        f"decay condition fails for psi^p at s=q/p: sup alpha = "
-                        f"{dec.alpha_sup:.4g} >= {dec.bound:.4g}"
-                    )
-                if not weights.convexity_evidence(psi.raised_to(p)):
-                    return False, "psi^p lacks convexity evidence"
-            return True, "ok"
-        if theorem in ("thm31_p_le_2", "thm31_p_ge_2"):
-            if q is None or p is None:
-                raise ValueError(f"{theorem} needs q and p")
-            rep = weights.check_class_b(psi)
-            if not rep.in_class:
-                return False, "weight lacks slow-vanishing class evidence"
-            p_prime = p / (p - 1.0) if p > 1 else math.inf
-            if p_prime < q:
-                thresh = d * (0.5 - 1.0 / q) if theorem == "thm31_p_le_2" else d * (1.0 - 1.0 / p - 1.0 / q)
-                dec = weights.check_decay_condition(psi, 2.0, d)  # populate alpha bounds
-                inv_alpha = dec.inv_alpha_inf
-                if not inv_alpha > thresh:
-                    return False, (
-                        f"reciprocal decay bound fails: inf 1/alpha = {inv_alpha:.4g} "
-                        f"<= {thresh:.4g}"
-                    )
-                if not weights.convexity_evidence(psi):
-                    return False, "weight lacks convexity evidence"
-            return True, "ok"
-    except weights.ZeroDerivativeError:
-        return False, "alpha undefined (psi' vanishes)"
-    raise ValueError(f"unknown theorem tag {theorem!r}, expected one of {THEOREM_TAGS}")
+    _check_tag(theorem, q, p, s)
+    if theorem == "lemma41":
+        rep = weights.check_class_b(psi)
+        if not rep.in_class:
+            return False, "weight lacks slow-vanishing class evidence"
+        if s > 1.0:
+            dec = weights.check_decay_condition(psi, s, d)
+            if not dec.satisfied:
+                return False, (
+                    f"decay condition fails: sup alpha = {dec.alpha_sup:.4g} "
+                    f">= {dec.bound:.4g} = s'/d"
+                )
+        return True, "ok"
+    if theorem == "assertion41":
+        rep = weights.check_class_b(psi.raised_to(p))
+        if not rep.in_class:
+            return False, "psi^p lacks slow-vanishing class evidence"
+        if p < q:
+            dec = weights.check_decay_condition(psi.raised_to(p), q / p, d)
+            if not dec.satisfied:
+                return False, (
+                    f"decay condition fails for psi^p at s=q/p: sup alpha = "
+                    f"{dec.alpha_sup:.4g} >= {dec.bound:.4g}"
+                )
+            if not weights.convexity_evidence(psi.raised_to(p)):
+                return False, "psi^p lacks convexity evidence"
+        return True, "ok"
+    # thm31_p_le_2 and thm31_p_ge_2
+    rep = weights.check_class_b(psi)
+    if not rep.in_class:
+        return False, "weight lacks slow-vanishing class evidence"
+    p_prime = p / (p - 1.0) if p > 1 else math.inf
+    if p_prime < q:
+        thresh = d * (0.5 - 1.0 / q) if theorem == "thm31_p_le_2" else d * (1.0 - 1.0 / p - 1.0 / q)
+        dec = weights.check_decay_condition(psi, 2.0, d)  # populate alpha bounds
+        inv_alpha = dec.inv_alpha_inf
+        if not inv_alpha > thresh:
+            return False, (
+                f"reciprocal decay bound fails: inf 1/alpha = {inv_alpha:.4g} "
+                f"<= {thresh:.4g}"
+            )
+        if not weights.convexity_evidence(psi):
+            return False, "weight lacks convexity evidence"
+    return True, "ok"
 
 
 @dataclass(eq=False)

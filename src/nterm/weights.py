@@ -1,23 +1,28 @@
 """Decreasing weight functions and their lazy rearrangements over Z^d.
 
 A weight ``psi`` maps t >= 1 to a positive value, with the convention
-``psi(0) := psi(1)`` for the origin.  Supported families (closed set,
-all with analytic derivatives):
+``psi(0) := psi(1)`` for the origin.  Every weight is the one formula
+``psi(t) = t^(-s) * ln^eps(t + e) * R^(-t)``.  A family tag names the
+parameters it sets; the others keep their neutral values s = eps = 0 and
+R = 1, whose factor is exactly 1, so each family evaluates its preset:
 
 =========  =======================  ==========================
-tag        formula                  parameters
+tag        preset                   parameters
 =========  =======================  ==========================
 power      t^(-s)                   s > 0
 powerlog   t^(-s) * ln^eps(t + e)   s > 0, eps real
 log        ln^eps(t + e)            eps < 0
 exp        R^(-t)                   R > 1
-const      1                        (boundary case; derivative 0)
+const      1                        (boundary case; psi' = 0)
 =========  =======================  ==========================
 
 The decay characteristic ``alpha(psi, t) = psi(t) / (t * |psi'(t)|)``
-drives the hypothesis checks: membership evidence for the class of
-slowly-vanishing weights (ratio psi(t)/psi(ct) staying in (1, K]) and
-the decay condition ``sup alpha < s' / d`` with ``s' = s/(s-1)``.
+is evaluated as ``1 / (t * |psi'/psi|)`` from the log-derivative
+``psi'/psi = -s/t + eps / ((t + e) ln(t + e)) - ln R``, which stays
+finite where psi and psi' both underflow.  It drives the hypothesis
+checks: membership evidence for the class of slowly-vanishing weights
+(ratio psi(t)/psi(ct) staying in (1, K]) and the decay condition
+``sup alpha < s' / d`` with ``s' = s/(s-1)``.
 
 A :class:`RearrangedWeight` is the nonincreasing rearrangement of
 ``{psi(|k|_r) : k in Z^d}`` as a step sequence on j = 1, 2, ...: the
@@ -29,15 +34,15 @@ table and grows it as far as the stream is consumed.
 
 from __future__ import annotations
 
-import contextlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .lattice import shell_counts
 
-_FAMILIES = ("power", "powerlog", "log", "exp", "const")
+# family -> the parameters it sets, in spec-string order
+_PARAMS = {"power": ("s",), "powerlog": ("s", "eps"), "log": ("eps",), "exp": ("R",), "const": ()}
 
 
 class ZeroDerivativeError(ValueError):
@@ -51,15 +56,21 @@ class WeightFunction:
     family: str
     s: float = 0.0
     eps: float = 0.0
-    R: float = 0.0
+    R: float = 1.0
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown weight family {self.family!r}, expected one of {_FAMILIES}")
+        if self.family not in _PARAMS:
+            raise ValueError(f"unknown weight family {self.family!r}, expected one of {tuple(_PARAMS)}")
         if not all(math.isfinite(v) for v in (self.s, self.eps, self.R)):
             raise ValueError(
                 f"weight parameters must be finite, got s={self.s}, eps={self.eps}, R={self.R}"
             )
+        # one formula reads every parameter, so one the family does not
+        # name must keep its neutral default rather than be ignored
+        for f in fields(self)[1:]:
+            if f.name not in _PARAMS[self.family] and getattr(self, f.name) != f.default:
+                raise ValueError(f"family {self.family!r} takes no parameter {f.name}, "
+                                 f"got {f.name}={getattr(self, f.name)}")
         if self.family in ("power", "powerlog") and not self.s > 0:
             raise ValueError(f"family {self.family!r} needs s > 0, got s={self.s}")
         if self.family == "log" and not self.eps < 0:
@@ -69,90 +80,39 @@ class WeightFunction:
 
     # --- evaluation (scalar or ndarray, t >= 0 with psi(0) := psi(1)) ---
 
-    @contextlib.contextmanager
-    def _no_overflow(self):
-        # underflow stays silent: exp-family values vanish below the float range
-        try:
-            with np.errstate(over="raise"):
-                yield
-        except FloatingPointError:
-            raise OverflowError(f"weight {self.spec_string()} overflows the float range") from None
-
     def __call__(self, t):
         """psi(t); raises OverflowError when a value exceeds the float range."""
         t = np.maximum(np.asarray(t, dtype=np.float64), 1.0)
-        with self._no_overflow():
-            if self.family == "power":
-                out = t ** (-self.s)
-            elif self.family == "powerlog":
-                out = t ** (-self.s) * np.log(t + math.e) ** self.eps
-            elif self.family == "log":
-                out = np.log(t + math.e) ** self.eps
-            elif self.family == "exp":
-                out = self.R ** (-t)
-            else:
-                out = np.ones_like(t)
+        # underflow stays silent: exp-family values vanish below the float range
+        try:
+            with np.errstate(over="raise"):
+                out = t ** (-self.s) * np.log(t + math.e) ** self.eps * self.R ** (-t)
+        except FloatingPointError:
+            raise OverflowError(f"weight {self.spec_string()} overflows the float range") from None
         return out if out.ndim else float(out)
 
     def log_value(self, t):
         """log psi(t), stable for values far below the float range."""
         t = np.maximum(np.asarray(t, dtype=np.float64), 1.0)
-        if self.family == "power":
-            out = -self.s * np.log(t)
-        elif self.family == "powerlog":
-            out = -self.s * np.log(t) + self.eps * np.log(np.log(t + math.e))
-        elif self.family == "log":
-            out = self.eps * np.log(np.log(t + math.e))
-        elif self.family == "exp":
-            out = -t * math.log(self.R)
-        else:
-            out = np.zeros_like(t)
+        out = -self.s * np.log(t) + self.eps * np.log(np.log(t + math.e)) - t * math.log(self.R)
         return out if out.ndim else float(out)
 
-    def derivative(self, t):
-        """Analytic psi'(t) for t >= 1; raises OverflowError like __call__."""
+    def log_derivative(self, t):
+        """psi'(t) / psi(t) for t >= 1, finite where psi and psi' underflow."""
         t = np.asarray(t, dtype=np.float64)
         if np.any(t < 1.0):
-            raise ValueError("derivative defined for t >= 1")
-        with self._no_overflow():
-            if self.family == "power":
-                out = -self.s * t ** (-self.s - 1.0)
-            elif self.family == "powerlog":
-                ln = np.log(t + math.e)
-                out = t ** (-self.s) * ln ** (self.eps - 1.0) * (
-                    self.eps / (t + math.e) - self.s * ln / t
-                )
-            elif self.family == "log":
-                out = self.eps * np.log(t + math.e) ** (self.eps - 1.0) / (t + math.e)
-            elif self.family == "exp":
-                out = -math.log(self.R) * self.R ** (-t)
-            else:
-                out = np.zeros_like(t)
+            raise ValueError("log_derivative defined for t >= 1")
+        out = -self.s / t + self.eps / ((t + math.e) * np.log(t + math.e)) - math.log(self.R)
         return out if out.ndim else float(out)
 
     def raised_to(self, a: float) -> "WeightFunction":
         """The pointwise power psi^a, again inside the family enumeration."""
-        if self.family == "power":
-            return WeightFunction("power", s=self.s * a)
-        if self.family == "powerlog":
-            return WeightFunction("powerlog", s=self.s * a, eps=self.eps * a)
-        if self.family == "log":
-            return WeightFunction("log", eps=self.eps * a)
-        if self.family == "exp":
-            return WeightFunction("exp", R=self.R**a)
-        return self
+        return WeightFunction(self.family, s=self.s * a, eps=self.eps * a, R=self.R**a)
 
     def spec_string(self) -> str:
         """Config-string form accepted by parse_weight."""
-        if self.family == "power":
-            return f"power:s={self.s:g}"
-        if self.family == "powerlog":
-            return f"powerlog:s={self.s:g},eps={self.eps:g}"
-        if self.family == "log":
-            return f"log:eps={self.eps:g}"
-        if self.family == "exp":
-            return f"exp:R={self.R:g}"
-        return "const"
+        params = ",".join(f"{name}={getattr(self, name):g}" for name in _PARAMS[self.family])
+        return f"{self.family}:{params}" if params else self.family
 
 
 def parse_weight(spec: str) -> WeightFunction:
@@ -179,28 +139,30 @@ def parse_weight(spec: str) -> WeightFunction:
                 kv[key.strip()] = float(val)
             except ValueError:
                 raise ValueError(f"bad numeric value {val!r} in weight spec {spec!r}") from None
-    expected = {"power": {"s"}, "powerlog": {"s", "eps"}, "log": {"eps"}, "exp": {"R"}, "const": set()}
-    if family not in expected:
+    if family not in _PARAMS:
         raise ValueError(f"unknown weight family {family!r} in {spec!r}")
-    if set(kv) != expected[family]:
+    if set(kv) != set(_PARAMS[family]):
         raise ValueError(
-            f"weight family {family!r} takes parameters {sorted(expected[family])}, got {sorted(kv)}"
+            f"weight family {family!r} takes parameters {sorted(_PARAMS[family])}, got {sorted(kv)}"
         )
-    return WeightFunction(family, s=kv.get("s", 0.0), eps=kv.get("eps", 0.0), R=kv.get("R", 0.0))
+    return WeightFunction(family, **kv)
 
 
 def alpha(psi: WeightFunction, t):
     """Decay characteristic psi(t) / (t * |psi'(t)|) for t >= 1.
+
+    Evaluated as ``1 / (t * |psi'(t)/psi(t)|)``, so it forms no 0/0
+    where psi and psi' underflow (exp family at large t).
 
     Raises
     ------
     ZeroDerivativeError
         If psi'(t) vanishes (e.g. the const family).
     """
-    d = psi.derivative(t)
-    if np.any(np.asarray(d) == 0.0):
+    ld = psi.log_derivative(t)
+    if np.any(np.asarray(ld) == 0.0):
         raise ZeroDerivativeError(f"psi'(t) = 0 for family {psi.family!r}; alpha undefined")
-    out = psi(t) / (np.asarray(t, dtype=np.float64) * np.abs(d))
+    out = 1.0 / (np.asarray(t, dtype=np.float64) * np.abs(ld))
     return out if np.ndim(out) else float(out)
 
 

@@ -278,6 +278,16 @@ def test_check_psi(capsys):
     assert doc["result"]["decay"]["satisfied"] is False
 
 
+def test_check_psi_exp_alpha_from_log_derivative(capsys):
+    # psi and psi' both underflow on the grid; alpha = 1/(t ln 2) does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["check-psi", "--psi", "exp:R=2", "--s", "2"]) == 0
+    decay = json.loads(capsys.readouterr().out)["result"]["decay"]
+    assert decay["alpha_sup"] == pytest.approx(1 / math.log(2.0), rel=1e-15)
+    assert decay["satisfied"] is True and decay["note"] == ""
+
+
 def test_en_class_budget_reaches_the_stream(monkeypatch, capsys):
     # the stream's shell table grows under --budget, not only the first table
     monkeypatch.setenv("NTERM_BUDGET_POINTS", "400")
@@ -305,6 +315,27 @@ def test_weight_overflow_exit_1_json_record(spec, capsys):
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"]["type"] == "OverflowError"
     assert "overflows the float range" in record["error"]["message"]
+
+
+@pytest.mark.parametrize("argv, error, n", [
+    (["--quantity", "greedy_lp_witness", "--psi", "exp:R=2", "--n-grid", "1000",
+      "--q", "2", "--p", "4"], "OverflowError", 1000),
+    (["--quantity", "class_sp", "--psi", "exp:R=3", "--n-grid", "1000", "--q", "1", "--p", "2"],
+     "FloatingPointError", 1000),
+    (["--quantity", "h_functional", "--psi", "exp:R=3", "--n-grid", "800", "--s", "0.5"],
+     "FloatingPointError", 800),
+])
+def test_rates_out_of_float_range_exit_1_json_record(argv, error, n, capsys):
+    # a witness normalization or predicted rate beyond the float range
+    # is a typed error, not a traceback or a nan/inf ratio
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["rates"] + argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    record = json.loads(err.strip())
+    assert record["error"]["type"] == error
+    assert "exp:R=" in record["error"]["message"] and f"n={n}" in record["error"]["message"]
 
 
 def test_sup_scan_budget_exit_1_json_record(capsys):

@@ -4,6 +4,8 @@ import mpmath
 import numpy as np
 import pytest
 from conftest import stream_runs
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nterm import lattice
 from nterm.weights import (
@@ -80,14 +82,51 @@ def test_validation():
         WeightFunction("gauss")
 
 
+def test_validation_rejects_parameters_the_family_does_not_name():
+    # the one formula would read them, so they may not be silently ignored
+    for kwargs in [dict(family="power", s=2.0, eps=5.0), dict(family="powerlog", s=1.0, R=2.0),
+                   dict(family="log", eps=-1.0, s=1.0), dict(family="exp", R=2.0, eps=-1.0),
+                   dict(family="const", R=2.0), dict(family="const", s=1.0)]:
+        with pytest.raises(ValueError, match="takes no parameter"):
+            WeightFunction(**kwargs)
+
+
+_PRESETS = [  # (family, its parameters, (psi(t), log psi(t)) written out for it)
+    ("power", "s", lambda t, s, eps, R: (t ** -s, -s * np.log(t))),
+    ("powerlog", "s eps", lambda t, s, eps, R: (t ** -s * np.log(t + math.e) ** eps,
+                                                -s * np.log(t) + eps * np.log(np.log(t + math.e)))),
+    ("log", "eps", lambda t, s, eps, R: (np.log(t + math.e) ** eps,
+                                         eps * np.log(np.log(t + math.e)))),
+    ("exp", "R", lambda t, s, eps, R: (R ** -t, -t * math.log(R))),
+    ("const", "", lambda t, s, eps, R: (1.0, 0.0)),
+]
+
+
+@given(st.sampled_from(_PRESETS), st.floats(1.0, 1e6), st.floats(0.05, 6.0),
+       st.floats(-4.0, -0.05), st.floats(1.01, 5.0))
+def test_one_formula_equals_each_family_preset(preset, t, s, eps, R):
+    # the neutral factors are exactly 1 and the neutral terms exactly 0,
+    # so every family evaluates bit for bit as its own preset
+    family, names, expr = preset
+    params = dict(s=s, eps=eps, R=R)
+    psi = WeightFunction(family, **{name: params[name] for name in names.split()})
+    want_value, want_log = expr(np.float64(t), s, eps, R)
+    assert psi(t) == want_value
+    assert psi.log_value(t) == want_log
+
+
 def test_derivative_against_mpmath():
-    ts = [1.5, 2.0, 5.0, 37.0, 400.0]
+    # psi'/psi against mpmath's derivative of psi over psi, far past the
+    # point where psi itself underflows (exp at t = 1e6)
+    ts = [1.0, 1.5, 2.0, 5.0, 37.0, 400.0, 1e6]
     for psi in FAMILIES:
         expr = _mp_expr(psi)
         for t in ts:
-            want = float(mpmath.diff(expr, mpmath.mpf(t)))
-            got = float(psi.derivative(t))
+            want = float(mpmath.diff(expr, mpmath.mpf(t)) / expr(mpmath.mpf(t)))
+            got = psi.log_derivative(t)
             assert got == pytest.approx(want, rel=1e-10, abs=1e-300)
+    with pytest.raises(ValueError):
+        WeightFunction("power", s=2.0).log_derivative(0.5)
 
 
 def test_raised_to_matches_power_of_value():
@@ -165,6 +204,16 @@ def test_decay_condition():
     assert rep_vac.satisfied
     rep_const = check_decay_condition(WeightFunction("const"), 2.0, 1)
     assert not rep_const.satisfied
+
+
+def test_decay_condition_exp_where_psi_underflows():
+    # alpha(t) = 1/(t ln R) on the whole grid, although R^-t and its
+    # derivative are both 0 in floating point past t ~ 1075
+    rep = check_decay_condition(WeightFunction("exp", R=2.0), 2.0, 1)
+    assert rep.alpha_sup == pytest.approx(1 / math.log(2.0), rel=1e-15)
+    assert rep.satisfied and rep.note == ""
+    np.testing.assert_allclose(alpha(WeightFunction("exp", R=2.0), np.array([2e3, 1e6])),
+                               [1 / (2e3 * math.log(2.0)), 1 / (1e6 * math.log(2.0))], rtol=1e-15)
 
 
 def test_evidence_helpers():

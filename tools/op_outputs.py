@@ -12,10 +12,14 @@ where ``op`` is ``workload:seed:index argv``.  Comparing two checkouts
 shows whether a change moved any output byte::
 
     git worktree add ../nterm-parent HEAD~1
-    python tools/op_outputs.py ../nterm-parent parent.json --seeds 13,31
-    python tools/op_outputs.py . change.json --seeds 13,31
+    python tools/op_outputs.py ../nterm-parent parent.json
+    python tools/op_outputs.py . change.json
     python tools/op_outputs.py --diff parent.json change.json
     git worktree remove ../nterm-parent
+
+``--seeds`` defaults to 0,13,31: seed 0 is the default of
+``bench/run.py --seed``, and 13 and 31 add two more draws of each
+workload.
 
 ``--diff A.json B.json`` lists the ops whose records differ and exits 1
 if any do, 0 otherwise.  Run one checkout per process: both import as
@@ -102,7 +106,7 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("root", nargs="?", type=Path, help="nterm checkout whose src/ to run")
     ap.add_argument("out", nargs="?", type=Path, help="JSON file to write")
-    ap.add_argument("--seeds", default="13,31", help="comma list of workload seeds")
+    ap.add_argument("--seeds", default="0,13,31", help="comma list of workload seeds")
     ap.add_argument("--diff", nargs=2, type=Path, metavar=("A", "B"), help="compare two records")
     args = ap.parse_args(argv)
     if args.diff:
