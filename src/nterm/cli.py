@@ -107,7 +107,7 @@ _R = _flag("--r", type=_parse_r, default=math.inf)
 _D = _flag("--d", type=int, default=1)
 _N_LIST = _flag("--n", type=_parse_int_list, help="n or comma list")
 _BUDGET = _flag("--budget", type=int,
-                help="override enumeration/grid point budgets (also env NTERM_BUDGET_POINTS)")
+                help=f"enumeration/grid point budget (default {lattice.DEFAULT_POINT_BUDGET})")
 _SCAN = (
     _flag("--scan-budget", type=int, default=DEFAULT_SCAN_BUDGET,
           help="threshold-scan budget for the extremal functionals"),

@@ -27,13 +27,12 @@ sequence; :func:`h_functional` is its one-n case.  The prefix sum
 ``S(l) = sum_{j<=l} Psi(j)^(-s)`` does not depend on n, and raising n
 lowers every q(l), so ``l_star(n)`` is nondecreasing in n: the scan
 resolves the thresholds in ascending n as it reaches them.  In the
-tail regime the same pass sums ``Psi^s'`` over the segments between
-consecutive thresholds and then certifies the remainder past the
-largest one; that single certified remainder bounds the truncation
-error of every n, since it is at most ``tol`` times the smallest tail.
-In the supremum regime each n keeps its own candidates and stopping
-envelope, evaluated for all live n at once, and freezes when its own
-certification holds.
+tail regime each distinct threshold gets its own certified tail sum,
+fed from the block in which the threshold resolves; the pass ends when
+the last of them is certified.  In the supremum regime each n keeps its
+own candidates and stopping envelope, evaluated for all live n at once,
+and freezes when its own certification holds.  Either way every n of a
+grid gets the value (and bound) of its one-n evaluation, bit for bit.
 
 Sequences enter through one duck-typed protocol: ``iter_blocks()``,
 called without arguments, yields ``(boundaries, log_values)`` arrays of
@@ -78,6 +77,7 @@ class FunctionalResult:
     regime); absent when the supremum is only approached as a limit
     within the scan budget.  ``tail_truncation_error_bound`` is the
     certified remainder bound of the tail sum (0 in the sup regime).
+    A row of :func:`h_functional_grid` equals its one-n evaluation.
     """
 
     value: float
@@ -256,7 +256,7 @@ class _TailCertifier:
     def feed(self, V: np.ndarray, terms: np.ndarray) -> bool:
         """Add one block of terms (zero before l); True once certified."""
         pos = int(V[-1])
-        block_sum = float(np.sum(terms))
+        block_sum = float(terms.sum())
         self.total.add(block_sum)
         if self.next_cp > pos:
             self.window += block_sum
@@ -265,10 +265,10 @@ class _TailCertifier:
         while self.next_cp <= pos:
             # next target is twice this boundary, not twice the old
             # target: two targets in one block would make an empty window
-            i = int(np.searchsorted(V, self.next_cp, side="left"))
+            i = int(V.searchsorted(self.next_cp))
             # summed from its own terms: a difference of running totals
             # reads 0 once the terms fall below eps times the total
-            window = self.window + float(np.sum(terms[start : i + 1]))
+            window = self.window + float(terms[start : i + 1].sum())
             self.window, start = 0.0, i + 1
             self.windows += 1
             if window == 0.0:
@@ -297,7 +297,7 @@ class _TailCertifier:
                 raise DivergentTailError(
                     f"tail not certified to tol={self.tol} within {MAX_DOUBLINGS} dyadic windows"
                 )
-        self.window = float(np.sum(terms[start:]))
+        self.window = float(terms[start:].sum())
         return False
 
 
@@ -355,6 +355,9 @@ def h_functional_grid(
     """H_n(Psi, s) at every n of ``ns``, from one pass over the sequence.
 
     Results follow the order of ``ns``; repeated values are allowed.
+    Each result, tail bound included, is bit for bit the one-n result
+    :func:`h_functional` returns, so a value never depends on which
+    other n share the call.
 
     For ``s <= 1`` the supremum of h(l) = (l-n)(sum_{j<=l} Psi^(-s))^(-1/s)
     over l > n, with a certified stopping rule; when the scan budget is
@@ -363,9 +366,8 @@ def h_functional_grid(
     returned with ``l_star = None``.
 
     For ``s > 1`` the closed two-term form at the threshold index, with
-    the certified tail sum; requires sum_j Psi(j)^s' < infinity.  The
-    tail bound is the one certified remainder past the largest
-    threshold, valid for every n.
+    the certified tail sum past that n's threshold; requires
+    sum_j Psi(j)^s' < infinity.
 
     Raises
     ------
@@ -401,46 +403,30 @@ def h_functional_grid(
 def _h_tail_regime(seq, ns, s, tol, scan_budget) -> list[FunctionalResult]:
     s_prime = s / (s - 1.0)
     thresholds = _Thresholds(ns, s, scan_budget)
-    segments: list[_Kahan] = []  # Psi^s' between consecutive distinct thresholds
-    cert = None  # the certified tail past the largest threshold
+    certs: dict[int, _TailCertifier] = {}  # one per distinct threshold
+    live: list[int] = []  # ascending thresholds whose tail is not yet certified
     for Vp, V, lv, lv_next in _blocks_with_lookahead(seq):
-        if cert is not None:
-            if cert.feed(V, _tail_terms(Vp, V, lv, int(ls[-1]), s_prime)):
-                break
-            continue
-        all_found = thresholds.feed(Vp, V, lv, lv_next)
-        if thresholds.done == 0:
-            continue
-        ls = np.unique(thresholds.l_star[: thresholds.done])
-        terms = _tail_terms(Vp, V, lv, int(ls[0]), s_prime)
-        # run i lies in the segment after the last threshold <= Vp[i]; the
-        # one past the largest threshold goes to the certifier once every
-        # threshold is known
-        seg = np.searchsorted(ls, Vp, side="right") - 1
-        closed = len(ls) - 1 if all_found else len(ls)
-        while len(segments) < closed:
-            segments.append(_Kahan())
-        summed = (seg >= 0) & (seg < closed)
-        if np.any(summed):
-            for acc, x in zip(segments, np.bincount(seg[summed], weights=terms[summed], minlength=closed)):
-                acc.add(float(x))
-        if all_found:
-            cert = _TailCertifier(int(ls[-1]), tol)
-            if cert.feed(V, np.where(seg == len(ls) - 1, terms, 0.0)):
-                break
-    # tail past each threshold, smallest parts first
-    tails = np.empty(len(ls))
-    acc = _Kahan()
-    acc.add(cert.total.total)
-    tails[-1] = acc.total
-    for j in range(len(ls) - 2, -1, -1):
-        acc.add(segments[j].total)
-        tails[j] = acc.total
+        if thresholds.done < len(ns):
+            done = thresholds.done
+            thresholds.feed(Vp, V, lv, lv_next)
+            for l in thresholds.l_star[done : thresholds.done].tolist():
+                if l not in certs:
+                    certs[l] = _TailCertifier(l, tol)
+                    live.append(l)
+        if live:
+            # the terms past the smallest live threshold serve every
+            # certifier; one whose threshold lies inside the block drops
+            # the runs before it, as its one-n evaluation does
+            terms = _tail_terms(Vp, V, lv, live[0], s_prime)
+            live = [l for l in live
+                    if not certs[l].feed(V, terms if l <= Vp[0] else np.where(Vp >= l, terms, 0.0))]
+        if not live and thresholds.done == len(ns):
+            break
     results = []
     for n, l_star, log_S in zip(ns.tolist(), thresholds.l_star.tolist(), thresholds.log_S.tolist()):
+        cert = certs[l_star]
         head_log = s_prime * math.log(l_star - n) - (s_prime / s) * log_S
-        tail = float(tails[np.searchsorted(ls, l_star)])
-        tail_log = math.log(tail) if tail > 0.0 else -math.inf
+        tail_log = math.log(cert.total.total) if cert.total.total > 0.0 else -math.inf
         value = math.exp(np.logaddexp(head_log, tail_log) / s_prime)
         results.append(FunctionalResult(
             value=value, l_star=l_star, regime="tail", tail_truncation_error_bound=cert.bound

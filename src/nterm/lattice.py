@@ -18,7 +18,6 @@ for one point, and :func:`enumerate_ball` decides ball membership by it.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from itertools import product
 
@@ -34,14 +33,9 @@ class BudgetExceededError(RuntimeError):
 
 
 def point_budget(override: int | None = None) -> int:
-    """Point budget of lattice enumeration, shell tables and quadrature grids.
-
-    Resolution order: explicit ``override`` argument, then the
-    ``NTERM_BUDGET_POINTS`` environment variable, then the module default.
-    """
-    if override is not None:
-        return int(override)
-    return int(os.environ.get("NTERM_BUDGET_POINTS", DEFAULT_POINT_BUDGET))
+    """Point budget of lattice enumeration, shell tables and quadrature grids:
+    ``override`` when given, else the module default."""
+    return DEFAULT_POINT_BUDGET if override is None else int(override)
 
 
 def quasi_norm(k, r) -> float:

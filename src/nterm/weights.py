@@ -92,10 +92,22 @@ class WeightFunction:
         return out if out.ndim else float(out)
 
     def log_value(self, t):
-        """log psi(t), stable for values far below the float range."""
-        t = np.maximum(np.asarray(t, dtype=np.float64), 1.0)
-        out = -self.s * np.log(t) + self.eps * np.log(np.log(t + math.e)) - t * math.log(self.R)
+        """log psi(t), stable for values far below the float range.
+
+        Raises OverflowError when a log value itself leaves the float range.
+        """
+        out = self._log_power(t, 1.0)
         return out if out.ndim else float(out)
+
+    def _log_power(self, t, a: float) -> np.ndarray:
+        """log psi(t)^a as an array: log_value's and the stream's one finiteness check."""
+        t = np.maximum(np.asarray(t, dtype=np.float64), 1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = a * (-self.s * np.log(t) + self.eps * np.log(np.log(t + math.e)) - t * math.log(self.R))
+        if not np.isfinite(out).all():
+            name = self.spec_string() if a == 1.0 else f"({self.spec_string()})^{a:g}"
+            raise OverflowError(f"log of weight {name} overflows the float range")
+        return out
 
     def log_derivative(self, t):
         """psi'(t) / psi(t) for t >= 1, finite where psi and psi' underflow."""
@@ -320,8 +332,7 @@ class RearrangedWeight:
                 # before the next one is built
                 V = None
                 V = shell_counts(self.r, self.d, m_new, budget=self.budget).V
-            m_arr = np.arange(m0, m0 + size, dtype=np.int64)
-            lv = self.p_power * self.psi.log_value(np.maximum(m_arr, 1).astype(np.float64))
-            yield V[m0 : m0 + size].copy(), np.asarray(lv, dtype=np.float64)
+            m_arr = np.arange(m0, m0 + size, dtype=np.float64)
+            yield V[m0 : m0 + size].copy(), self.psi._log_power(m_arr, self.p_power)
             m0 += size
             size = min(2 * size, 4096)

@@ -288,12 +288,11 @@ def test_check_psi_exp_alpha_from_log_derivative(capsys):
     assert decay["satisfied"] is True and decay["note"] == ""
 
 
-def test_en_class_budget_reaches_the_stream(monkeypatch, capsys):
+def test_en_class_budget_reaches_the_stream(capsys):
     # the stream's shell table grows under --budget, not only the first table
-    monkeypatch.setenv("NTERM_BUDGET_POINTS", "400")
     argv = ["en-class", "--psi", "power:s=2", "--q", "1", "--p", "2", "--n", "4",
             "--r", "1.5", "--d", "2"]
-    assert main(argv) == 1
+    assert main(argv + ["--budget", "400"]) == 1
     assert json.loads(capsys.readouterr().err.strip())["error"]["type"] == "BudgetExceededError"
     assert main(argv + ["--budget", "10000"]) == 0
     assert capsys.readouterr().out.startswith("n,en\n4,")
@@ -315,6 +314,27 @@ def test_weight_overflow_exit_1_json_record(spec, capsys):
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"]["type"] == "OverflowError"
     assert "overflows the float range" in record["error"]["message"]
+
+
+@pytest.mark.parametrize("argv, spec", [
+    (["check-psi", "--psi", "powerlog:s=1e308,eps=-1e308", "--s", "2"], "powerlog:s=1e+308,eps=-1e+308"),
+    (["hfunc", "--psi", "powerlog:s=1e308,eps=-1e308", "--n", "5", "--s", "0.5"],
+     "powerlog:s=1e+308,eps=-1e+308"),
+    (["en-class", "--psi", "power:s=1e308", "--q", "1", "--p", "2", "--n", "5"], "(power:s=1e+308)^2"),
+    (["hfunc", "--psi", "power:s=2", "--p-power", "1e308", "--n", "5", "--s", "0.5"],
+     "(power:s=2)^1e+308"),
+])
+def test_log_value_overflow_exit_1_json_record(argv, spec, capsys):
+    # a log weight beyond the float range is a typed error naming the
+    # weight, not nan ratios, a 0.0 value or an unrelated NoThresholdError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    record = json.loads(err.strip())
+    assert record["error"]["type"] == "OverflowError"
+    assert f"log of weight {spec} overflows the float range" == record["error"]["message"]
 
 
 @pytest.mark.parametrize("argv, error, n", [
@@ -347,11 +367,10 @@ def test_sup_scan_budget_exit_1_json_record(capsys):
         assert "scan budget 50" in record["error"]["message"]
 
 
-def test_rates_budget_reaches_the_stream(monkeypatch, capsys):
-    monkeypatch.setenv("NTERM_BUDGET_POINTS", "400")
+def test_rates_budget_reaches_the_stream(capsys):
     argv = ["rates", "--quantity", "class_sp", "--psi", "power:s=2", "--n-grid", "4",
             "--q", "1", "--p", "2", "--r", "1.5", "--d", "2"]
-    assert main(argv) == 1
+    assert main(argv + ["--budget", "400"]) == 1
     assert json.loads(capsys.readouterr().err.strip())["error"]["type"] == "BudgetExceededError"
     assert main(argv + ["--budget", "10000"]) == 0
     assert capsys.readouterr().out.startswith("n,computed,predicted,ratio\n4,")
@@ -377,6 +396,19 @@ def test_en_class_one_stream_for_the_grid(stream_count, capsys):
     lines = capsys.readouterr().out.strip().split("\n")
     assert [line.split(",")[0] for line in lines] == ["n", "64", "4", "16", "4"]
     assert lines[2] == lines[4]
+
+
+@pytest.mark.parametrize("r", ["1", "inf"])
+def test_en_class_row_independent_of_the_grid(r, capsys):
+    # each row is its one-n evaluation bit for bit; a grid-dependent tail
+    # once put the r = 1 row 4e-12 above the r = inf row of the same d = 1
+    # sequence
+    argv = ["en-class", "--psi", "power:s=3.24", "--q", "2", "--p", "1", "--d", "1", "--r", r]
+    assert main(argv + ["--n", "37"]) == 0
+    alone = capsys.readouterr().out.strip().split("\n")[1]
+    assert main(argv + ["--n", "17,37,79,132,257,632"]) == 0
+    rows = capsys.readouterr().out.strip().split("\n")[1:]
+    assert alone.startswith("37,") and rows[1] == alone
 
 
 def test_parser_queries_terminal_size_once(monkeypatch, capsys):

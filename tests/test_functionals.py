@@ -297,13 +297,9 @@ def test_grid_matches_one_n_evaluations(case):
     grid = h_functional_grid(RearrangedWeight(psi, r, d), ns, s)
     assert len(grid) == len(ns)
     for n, res in zip(ns, grid):
-        one = h_functional(RearrangedWeight(psi, r, d), n, s)
-        if s <= 1.0:
-            assert res == one
-        else:
-            assert res.regime == one.regime == "tail"
-            assert res.l_star == one.l_star
-            assert res.value == pytest.approx(one.value, rel=1e-9)
+        # value and tail bound too, bit for bit, in both regimes
+        assert res == h_functional(RearrangedWeight(psi, r, d), n, s)
+        if s > 1.0:
             assert 0.0 <= res.tail_truncation_error_bound <= 1e-9 * res.value ** (s / (s - 1.0))
     by_n = sorted((n, res.l_star) for n, res in zip(ns, grid) if res.l_star is not None)
     assert all(a[1] <= b[1] for a, b in zip(by_n, by_n[1:]))

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nterm import lattice
 from nterm.lattice import (
     BudgetExceededError,
     ShellDecomposition,
@@ -87,14 +86,6 @@ def test_enumerate_ball_is_the_counted_ball(r, d, m):
 def test_enumerate_ball_budget():
     with pytest.raises(BudgetExceededError):
         enumerate_ball(100, math.inf, 3, budget=1000)
-
-
-def test_point_budget_env(monkeypatch):
-    monkeypatch.setenv("NTERM_BUDGET_POINTS", "123")
-    assert lattice.point_budget(None) == 123
-    assert lattice.point_budget(55) == 55
-    monkeypatch.delenv("NTERM_BUDGET_POINTS")
-    assert lattice.point_budget(None) == 2**24
 
 
 def test_ball_counts_frozen():

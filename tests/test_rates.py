@@ -145,11 +145,10 @@ def test_rate_table_one_stream_per_grid(stream_count):
     assert len(stream_count) == 3
 
 
-def test_rate_table_budget_reaches_stream_and_grid(monkeypatch):
-    monkeypatch.setenv("NTERM_BUDGET_POINTS", "400")
+def test_rate_table_budget_reaches_stream_and_grid():
     # r = 1.5 enumerates shells: 16 radii at d = 2 need 33^2 > 400 points
     with pytest.raises(lattice.BudgetExceededError):
-        rate_table("class_sp", [4], P2, 2, r=1.5, q=1.0, p=2.0)
+        rate_table("class_sp", [4], P2, 2, r=1.5, q=1.0, p=2.0, budget=400)
     t = rate_table("class_sp", [4], P2, 2, r=1.5, q=1.0, p=2.0, budget=10_000)
     assert t.computed[0] > 0.0
     # the witness at n = 8, d = 2 reaches |k|_inf = 2 (an l1 ball of radius

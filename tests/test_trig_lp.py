@@ -146,13 +146,13 @@ def test_lp_norm_validation():
         lp_norm(f, 0.5, GridSpec(d=1, N=8))
 
 
-def test_grid_budget(monkeypatch):
+def test_grid_budget():
     f = CoefficientSequence(d=1, entries={(1,): 1.0})
     with pytest.raises(BudgetExceededError):
         evaluate_on_grid(f, GridSpec(d=1, N=16), budget=10)
-    monkeypatch.setenv("NTERM_BUDGET_POINTS", "8")
     with pytest.raises(BudgetExceededError):
-        lp_norm(f, 2.0, GridSpec(d=1, N=16))
+        lp_norm(f, 2.0, GridSpec(d=1, N=16), budget=8)
+    assert lp_norm(f, 2.0, GridSpec(d=1, N=16), budget=16) == pytest.approx(1.0)
 
 
 def test_grid_points_smallest_exact_grid_for_even_p():
