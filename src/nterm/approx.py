@@ -1,11 +1,19 @@
 """Coefficient sequences, greedy approximants, and exact class errors.
 
 A trigonometric polynomial (or absolutely summable series) on the
-d-torus is represented by its nonzero Fourier coefficients.  In the
+d-torus is represented by its nonzero Fourier coefficients, held in two
+arrays: ``keys``, the (m, d) int64 multi-indices in lexicographic
+order, and ``values``, their complex128 coefficients.  In the
 coefficient norm ``sp_norm(f, p) = (sum_k |c_k|^p)^(1/p)`` the best
 n-term approximant keeps the n largest amplitudes, so the greedy
 remainder is simultaneously the best n-term and the best orthogonal
 (kept-coefficient) n-term error.
+
+:func:`greedy_order` ranks the indices by descending amplitude, ties by
+``|k|_inf`` and then lexicographically: one stable sort of the stored
+(lexicographic) keys.  Amplitudes come from ``np.hypot`` of the real
+and imaginary parts, which equals Python's ``abs(complex)`` bit for
+bit, so the order and the remainders match a per-term Python sort.
 
 A function class is the unit ball ``sum_k (|c_k| / psi(|k|_r))^q <= 1``
 for a decreasing weight psi.  Its exact best n-term error in the
@@ -21,9 +29,11 @@ lower-bound order ``psi(n^(1/d)) / n^(1/q)``.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,43 +42,172 @@ from .functionals import DEFAULT_SCAN_BUDGET, DEFAULT_TOL, FunctionalResult, h_f
 from .weights import RearrangedWeight, WeightFunction
 
 
-@dataclass(eq=False)
+_KMAX = 2**63 - 1  # largest |k_i|: every index and |k|_inf fit int64
+
+
+def _index_problem(k, d: int) -> str | None:
+    """Why k is not a multi-index of d integers of magnitude at most _KMAX."""
+    try:
+        comps = list(k)
+    except TypeError:
+        return "index is not a list"
+    if len(comps) != d:
+        return f"index has length {len(comps)}, expected d={d}"
+    for c in comps:
+        v = int(c) if isinstance(c, (float, np.floating)) and float(c).is_integer() else c
+        if not isinstance(v, (int, np.integer)) or not -_KMAX <= v <= _KMAX:
+            return f"index component {c!r} is not an integer in [-(2**63 - 1), 2**63 - 1]"
+    return None
+
+
+def _index_array(raw, d: int) -> np.ndarray:
+    """The (m, d) int64 array of the multi-indices in ``raw``.
+
+    Integers and integral floats are accepted; a ValueError names the
+    first entry that is not d integers of magnitude at most 2**63 - 1.
+    """
+    m = len(raw)
+    if m == 0:
+        return np.empty((0, d), dtype=np.int64)
+    try:
+        arr = np.array(raw)
+    except (TypeError, ValueError):  # ragged
+        arr = None
+    if arr is not None and arr.shape == (m, d) and arr.dtype.kind == "i" and arr.min() >= -_KMAX:
+        return arr.astype(np.int64, copy=False)
+    # anything else (integral floats, ints past int64, bad entries) goes
+    # entry by entry, converting each component exactly
+    for i, k in enumerate(raw):
+        problem = _index_problem(k, d)
+        if problem:
+            raise ValueError(f"coefficient entry {i} (k={_shown(k)}): {problem}")
+    return np.array([[int(c) for c in k] for k in raw], dtype=np.int64)
+
+
+def _shown(k) -> str:
+    return repr(k.tolist() if isinstance(k, np.ndarray) else k)
+
+
+def _real_column(col: list, name: str) -> np.ndarray:
+    """``col`` (JSON numbers) as float64; ValueError naming the first non-number."""
+    try:
+        arr = np.array(col)
+    except ValueError:  # ragged
+        arr = None
+    if arr is not None and arr.dtype.kind in "iuf" and arr.shape == (len(col),):
+        return arr.astype(np.float64, copy=False)
+    for i, v in enumerate(col):
+        try:
+            ok = isinstance(v, (int, float)) and math.isfinite(v)
+        except OverflowError:  # an int beyond the float range
+            ok = False
+        if not ok:
+            raise ValueError(f"coefficient entry {i}: {name}={v!r} is not a finite number")
+    return np.array(col, dtype=np.float64)
+
+
+class _Entries(Mapping):
+    """Read-only dict view ``index tuple -> coefficient`` of a sequence.
+
+    ``len`` reads the array length; the dict itself is built on first
+    lookup or iteration.
+    """
+
+    def __init__(self, keys: np.ndarray, values: np.ndarray):
+        self._keys = keys
+        self._values = values
+        self._dict = None
+
+    def _as_dict(self) -> dict:
+        if self._dict is None:
+            self._dict = dict(zip(map(tuple, self._keys.tolist()), self._values.tolist()))
+        return self._dict
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __getitem__(self, k):
+        return self._as_dict()[k]
+
+    def __iter__(self):
+        return iter(self._as_dict())
+
+
 class CoefficientSequence:
     """Sparse complex coefficients indexed by integer multi-indices.
 
-    Entries with amplitude exactly zero are dropped; keys are coerced
-    to int tuples of length d.
+    Stored as two arrays: ``keys``, the (m, d) int64 indices in
+    lexicographic order, and ``values``, their complex128 coefficients.
+    ``entries`` is a read-only dict view of the same data.  Coefficients
+    exactly zero are dropped.  A ValueError names the offending entry
+    when an index is not d integers of magnitude at most 2**63 - 1
+    (integral floats and numpy integers are accepted), when a
+    coefficient is not finite, or when an index repeats.
     """
 
-    d: int
-    entries: dict = field(default_factory=dict)
+    def __init__(self, d: int, entries: Mapping | None = None):
+        entries = {} if entries is None else entries
+        values = np.fromiter((complex(v) for v in entries.values()), np.complex128, len(entries))
+        self._set(d, list(entries), values)
 
-    def __post_init__(self):
-        clean = {}
-        for k, v in self.entries.items():
-            key = tuple(int(c) for c in k)
-            if len(key) != self.d:
-                raise ValueError(f"index {key} has length {len(key)}, expected d={self.d}")
-            v = complex(v)
-            if v != 0:
-                clean[key] = v
-        self.entries = clean
+    @classmethod
+    def from_arrays(cls, d: int, keys, values) -> "CoefficientSequence":
+        """The sequence with coefficient ``values[i]`` at index ``keys[i]``."""
+        f = cls.__new__(cls)
+        f._set(d, keys, np.asarray(values, dtype=np.complex128))
+        return f
+
+    def _set(self, d: int, raw_keys, values: np.ndarray) -> None:
+        if d < 1:
+            raise ValueError(f"need d >= 1, got d={d}")
+        if len(raw_keys) != len(values):
+            raise ValueError(f"{len(raw_keys)} indices for {len(values)} coefficients")
+        keys = _index_array(raw_keys, d)
+        bad = np.flatnonzero(~np.isfinite(values))
+        if len(bad):
+            i = int(bad[0])
+            raise ValueError(f"coefficient entry {i} (k={_shown(raw_keys[i])}): "
+                             f"coefficient {complex(values[i])} is not finite")
+        order = np.lexsort(keys.T[::-1])
+        keys, values = keys[order], values[order]
+        dup = np.flatnonzero((keys[1:] == keys[:-1]).all(axis=1))
+        if len(dup):
+            j = int(dup[0])
+            raise ValueError(f"coefficient entries {order[j]} and {order[j + 1]} "
+                             f"repeat the index {keys[j].tolist()}")
+        nonzero = values != 0
+        self.d = d
+        self.keys = keys[nonzero]
+        self.values = values[nonzero]
+        self.keys.flags.writeable = self.values.flags.writeable = False
+
+    @functools.cached_property
+    def entries(self) -> Mapping:
+        return _Entries(self.keys, self.values)
 
     def support(self) -> list:
-        return sorted(self.entries)
+        return [tuple(k) for k in self.keys.tolist()]
+
+    def amplitudes(self) -> np.ndarray:
+        """|c_k| in key order, bit for bit Python's ``abs(complex)``."""
+        return np.hypot(self.values.real, self.values.imag)
 
     def to_json(self) -> str:
         items = [
-            {"k": list(k), "re": self.entries[k].real, "im": self.entries[k].imag}
-            for k in sorted(self.entries)
+            {"k": k, "re": re, "im": im}
+            for k, re, im in zip(self.keys.tolist(), self.values.real.tolist(),
+                                 self.values.imag.tolist())
         ]
         return json.dumps({"d": self.d, "entries": items})
 
     @classmethod
     def from_json(cls, text: str) -> "CoefficientSequence":
         data = json.loads(text)
-        entries = {tuple(e["k"]): complex(e["re"], e["im"]) for e in data["entries"]}
-        return cls(d=int(data["d"]), entries=entries)
+        items = data["entries"]
+        values = np.empty(len(items), dtype=np.complex128)
+        values.real = _real_column([e["re"] for e in items], "re")
+        values.imag = _real_column([e["im"] for e in items], "im")
+        return cls.from_arrays(int(data["d"]), [e["k"] for e in items], values)
 
 
 @dataclass(frozen=True)
@@ -93,10 +232,9 @@ def sp_norm(f: CoefficientSequence, p: float) -> float:
     """(sum_k |c_k|^p)^(1/p) over the stored coefficients, p > 0."""
     if not p > 0:
         raise ValueError(f"need p > 0, got p={p}")
-    if not f.entries:
+    if not len(f.values):
         return 0.0
-    amps = np.abs(np.fromiter(f.entries.values(), dtype=np.complex128))
-    return float(np.sum(amps**p) ** (1.0 / p))
+    return float(np.sum(np.abs(f.values) ** p) ** (1.0 / p))
 
 
 def class_membership_norm(f: CoefficientSequence, spec: FunctionClassSpec) -> float:
@@ -106,21 +244,21 @@ def class_membership_norm(f: CoefficientSequence, spec: FunctionClassSpec) -> fl
     """
     if f.d != spec.d:
         raise ValueError(f"dimension mismatch: f.d={f.d}, spec.d={spec.d}")
-    if not f.entries:
+    if not len(f.values):
         return 0.0
-    keys = sorted(f.entries)
-    amps = np.array([abs(f.entries[k]) for k in keys])
-    norms = np.array([lattice.quasi_norm(k, spec.r) for k in keys], dtype=np.float64)
+    norms = np.array([lattice.quasi_norm(k, spec.r) for k in f.keys.tolist()], dtype=np.float64)
     w = spec.psi(np.maximum(norms, 1.0))
-    return float(np.sum((amps / w) ** spec.q) ** (1.0 / spec.q))
+    return float(np.sum((f.amplitudes() / w) ** spec.q) ** (1.0 / spec.q))
 
 
-def greedy_order(f: CoefficientSequence) -> list:
-    """Indices by descending amplitude; ties by |k|_inf then lexicographic."""
-    return sorted(
-        f.entries,
-        key=lambda k: (-abs(f.entries[k]), max(abs(c) for c in k), k),
-    )
+def greedy_order(f: CoefficientSequence) -> np.ndarray:
+    """Indices by descending amplitude; ties by |k|_inf then lexicographic.
+
+    An (m, d) int64 array.  The keys are stored in lexicographic order,
+    so one stable sort by (-amplitude, |k|_inf) leaves the remaining
+    ties in that order.
+    """
+    return f.keys[np.lexsort((np.abs(f.keys).max(axis=1), -f.amplitudes()))]
 
 
 def greedy_remainders_sp(f: CoefficientSequence, ns, p: float) -> list[float]:
@@ -137,7 +275,7 @@ def greedy_remainders_sp(f: CoefficientSequence, ns, p: float) -> list[float]:
         raise ValueError(f"need n >= 0, got n={min(ns)}")
     if not p > 0:
         raise ValueError(f"need p > 0, got p={p}")
-    amps = -np.sort(-np.array([abs(v) for v in f.entries.values()], dtype=np.float64))
+    amps = -np.sort(-f.amplitudes())
     return [float(np.sum(amps[n:] ** p) ** (1.0 / p)) for n in ns]
 
 
@@ -241,5 +379,5 @@ def extremal_function_f1(n: int, q: float, psi: WeightFunction, d: int) -> Coeff
     if not c1 > 0.0:
         raise OverflowError(f"witness normalization for {psi.spec_string()} at n={n}: "
                             f"sum of psi^-q over the l1 ball leaves the float range")
-    entries = {k: complex(c1) for k in lattice.enumerate_ball(R, 1.0, d)}
-    return CoefficientSequence(d=d, entries=entries)
+    keys = lattice.enumerate_ball(R, 1.0, d)
+    return CoefficientSequence.from_arrays(d, keys, np.full(len(keys), c1))

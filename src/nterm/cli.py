@@ -60,6 +60,9 @@ def _jsonable(val):
         return val
     if isinstance(val, (np.floating, np.integer)):
         return _jsonable(val.item())
+    if isinstance(val, np.ndarray):
+        # integer arrays hold no inf or nan: one conversion, no per-element pass
+        return val.tolist() if val.dtype.kind in "iu" else _jsonable(val.tolist())
     if isinstance(val, (list, tuple)):
         return [_jsonable(v) for v in val]
     if isinstance(val, dict):
@@ -266,7 +269,7 @@ def _cmd_greedy(args) -> int:
     csv_text = "\n".join(buf) + "\n"
     result = {
         "rows": [{"n": n, "remainder": v} for n, v in rows],
-        "order": [list(k) for k in order],
+        "order": order,
     }
     _emit(args, csv_text, result)
     return 0

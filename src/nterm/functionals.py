@@ -107,9 +107,24 @@ def _acc_log(carry: float, terms: np.ndarray) -> np.ndarray:
     return np.logaddexp.accumulate(np.concatenate(([carry], terms)))[1:]
 
 
-def _log_prefix(carry: float, Vp: np.ndarray, V: np.ndarray, lv: np.ndarray, s: float) -> np.ndarray:
-    """log S at each boundary of a block, continuing from log S = carry."""
-    return _acc_log(carry, np.log((V - Vp).astype(np.float64)) - s * lv)
+def _log_prefix(carry: float, Vp: np.ndarray, V: np.ndarray, slv: np.ndarray) -> np.ndarray:
+    """log S at each boundary of a block, continuing from log S = carry;
+    ``slv`` is s times the block's log values."""
+    return _acc_log(carry, np.log((V - Vp).astype(np.float64)) - slv)
+
+
+def _scaled(a: float, lv: np.ndarray, seq, name: str) -> np.ndarray:
+    """a * lv for log values of ``seq``.
+
+    Raises OverflowError naming ``seq`` and ``name=a`` when a product
+    leaves the float range.  Rounding is monotone, so every product is
+    finite exactly when the one of largest magnitude is: one scalar
+    check per block, and no warning.  Log values already infinite pass.
+    """
+    top = float(np.abs(lv).max())
+    if math.isinf(a * top) and not math.isinf(top):
+        raise OverflowError(f"{name}={a:g} times the log of weight {seq} leaves the float range")
+    return a * lv
 
 
 def _logsub(a, b):
@@ -151,7 +166,8 @@ class _Thresholds:
     every smaller n, the thresholds resolve in ascending n.
     """
 
-    def __init__(self, ns: np.ndarray, s: float, scan_budget: int):
+    def __init__(self, seq, ns: np.ndarray, s: float, scan_budget: int):
+        self.seq = seq
         self.ns = ns
         self.s = s
         self.scan_budget = scan_budget
@@ -163,8 +179,9 @@ class _Thresholds:
     def feed(self, Vp, V, lv, lv_next) -> bool:
         """Scan one block; True once every threshold is resolved."""
         s = self.s
-        logS = _log_prefix(self.carry, Vp, V, lv, s)
+        logS = _log_prefix(self.carry, Vp, V, _scaled(s, lv, self.seq, "s"))
         self.carry = float(logS[-1])
+        bar = _scaled(s, lv_next, self.seq, "s") + 1e-10
         while self.done < len(self.ns):
             n = int(self.ns[self.done])
             active = V > n
@@ -172,7 +189,7 @@ class _Thresholds:
                 break
             with np.errstate(invalid="ignore"):
                 logQ = np.where(active, np.log(np.maximum(V - n, 1).astype(np.float64)), -np.inf) - logS
-            hit = np.nonzero(active & (logQ > s * lv_next + 1e-10))[0]
+            hit = np.nonzero(active & (logQ > bar))[0]
             if not len(hit):
                 break
             self.l_star[self.done] = V[hit[0]]
@@ -213,22 +230,23 @@ def find_l_star(seq, n: int, s: float, scan_budget: int = DEFAULT_SCAN_BUDGET) -
         raise ValueError(f"need finite s > 0, got s={s}")
     if scan_budget < 1:
         raise ValueError(f"need scan_budget >= 1, got scan_budget={scan_budget}")
-    thresholds = _Thresholds(np.array([int(n)], dtype=np.int64), float(s), scan_budget)
+    thresholds = _Thresholds(seq, np.array([int(n)], dtype=np.int64), float(s), scan_budget)
     for block in _blocks_with_lookahead(seq):
         if thresholds.feed(*block):
             return int(thresholds.l_star[0])
 
 
-def _tail_terms(Vp, V, lv, l: int, s_prime: float) -> np.ndarray:
+def _tail_terms(seq, Vp, V, lv, l: int, s_prime: float) -> np.ndarray:
     """Psi^s' summed over the positions past l of each run of a block."""
+    slv = _scaled(s_prime, lv, seq, "s'")
     if Vp[0] >= l:
-        take, lv_taken = V - Vp, lv
+        take = V - Vp
     else:
         take = np.maximum(V - np.maximum(Vp, l), 0)
-        lv_taken = np.where(take > 0, lv, -np.inf)
+        slv = np.where(take > 0, slv, -np.inf)
     with np.errstate(over="raise"):
         try:
-            return take * np.exp(s_prime * lv_taken)
+            return take * np.exp(slv)
         except FloatingPointError:
             raise DivergentTailError(
                 "tail terms overflow the float range; the tail diverges"
@@ -326,7 +344,7 @@ def tail_sum(seq, l: int, s_prime: float, tol: float = DEFAULT_TOL) -> tuple[flo
         raise ValueError(f"need finite tol > 0, got tol={tol}")
     cert = _TailCertifier(int(l), tol)
     for Vp, V, lv, _ in _blocks_with_lookahead(seq):
-        if cert.feed(V, _tail_terms(Vp, V, lv, int(l), s_prime)):
+        if cert.feed(V, _tail_terms(seq, Vp, V, lv, int(l), s_prime)):
             return cert.total.total, cert.bound
 
 
@@ -402,7 +420,7 @@ def h_functional_grid(
 
 def _h_tail_regime(seq, ns, s, tol, scan_budget) -> list[FunctionalResult]:
     s_prime = s / (s - 1.0)
-    thresholds = _Thresholds(ns, s, scan_budget)
+    thresholds = _Thresholds(seq, ns, s, scan_budget)
     certs: dict[int, _TailCertifier] = {}  # one per distinct threshold
     live: list[int] = []  # ascending thresholds whose tail is not yet certified
     for Vp, V, lv, lv_next in _blocks_with_lookahead(seq):
@@ -417,7 +435,7 @@ def _h_tail_regime(seq, ns, s, tol, scan_budget) -> list[FunctionalResult]:
             # the terms past the smallest live threshold serve every
             # certifier; one whose threshold lies inside the block drops
             # the runs before it, as its one-n evaluation does
-            terms = _tail_terms(Vp, V, lv, live[0], s_prime)
+            terms = _tail_terms(seq, Vp, V, lv, live[0], s_prime)
             live = [l for l in live
                     if not certs[l].feed(V, terms if l <= Vp[0] else np.where(Vp >= l, terms, 0.0))]
         if not live and thresholds.done == len(ns):
@@ -442,7 +460,8 @@ def _h_sup_regime(seq, ns, s, scan_budget) -> list[FunctionalResult]:
     live = np.arange(k)
     carry = -math.inf
     for Vp, V, lv, lv_next in _blocks_with_lookahead(seq):
-        logS = _log_prefix(carry, Vp, V, lv, s)
+        # s <= 1 here, so s * lv stays in the float range
+        logS = _log_prefix(carry, Vp, V, s * lv)
         logS_prev = np.concatenate(([carry], logS[:-1]))
         carry = float(logS[-1])
         # n at or past the block's last boundary has nothing to do here;

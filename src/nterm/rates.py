@@ -184,10 +184,9 @@ def _greedy_witness_error(n: int, q: float, p: float, psi: WeightFunction, d: in
     witness on Z^d: the amplitude times the norm of the leftover
     exponential sum."""
     f = extremal_function_f1(n, q, psi, d)
-    order = greedy_order(f)
-    rest = order[n:]
-    amp = abs(next(iter(f.entries.values())))
-    kmax = max(max(abs(c) for c in k) for k in f.entries)
+    rest = greedy_order(f)[n:]
+    amp = float(f.amplitudes()[0])
+    kmax = trig_lp.max_abs_frequency(f)
     g = GridSpec(d=d, N=trig_lp.grid_points(p, kmax, 8 * max(kmax, 1) + 1))
     return amp * trig_lp.exponential_sum_norm(rest, p, g, budget=budget)
 

@@ -47,9 +47,7 @@ class GridSpec:
 
 def max_abs_frequency(f: CoefficientSequence) -> int:
     """max_k |k|_inf over the support (0 for the empty sequence)."""
-    if not f.entries:
-        return 0
-    return max(max(abs(c) for c in k) for k in f.entries)
+    return int(np.abs(f.keys).max()) if len(f.keys) else 0
 
 
 def evaluate_on_grid(f: CoefficientSequence, g: GridSpec, budget: int | None = None) -> np.ndarray:
@@ -74,12 +72,9 @@ def evaluate_on_grid(f: CoefficientSequence, g: GridSpec, budget: int | None = N
     if g.total_points > limit:
         raise BudgetExceededError(f"grid needs {g.total_points} points, budget is {limit}")
     C = np.zeros((g.N,) * g.d, dtype=np.complex128)
-    if not f.entries:
-        return C
     # frequencies congruent mod N meet the same grid values, so their
-    # coefficients add up in one DFT bin; Python ints keep k mod N exact
-    bins = np.array([[c % g.N for c in k] for k in f.entries], dtype=np.intp)
-    np.add.at(C, tuple(bins.T), np.fromiter(f.entries.values(), dtype=np.complex128, count=len(f.entries)))
+    # coefficients add up in one DFT bin
+    np.add.at(C, tuple(np.mod(f.keys, g.N).T), f.values)
     # unnormalized inverse DFT: sum_m C[m] e^{2 pi i (m, j) / N}
     return np.fft.ifftn(C, norm="forward")
 
@@ -121,14 +116,13 @@ def grid_points(p: float, kmax: int, other: int) -> int:
 def exponential_sum_norm(gamma, p: float, g: GridSpec, budget: int | None = None) -> float:
     """L_p norm of the unit-coefficient exponential sum over gamma.
 
-    ``gamma`` is an iterable of integer multi-indices (distinct).
+    ``gamma`` is an (m, d) array or an iterable of distinct integer
+    multi-indices; a repeated index is a ValueError.
     """
-    gamma = [tuple(int(c) for c in k) for k in gamma]
-    if len(set(gamma)) != len(gamma):
-        raise ValueError("frequency set gamma has repeated indices")
-    if not gamma:
+    gamma = gamma if isinstance(gamma, np.ndarray) else list(gamma)
+    if not len(gamma):
         return 0.0
-    f = CoefficientSequence(d=g.d, entries={k: 1.0 for k in gamma})
+    f = CoefficientSequence.from_arrays(g.d, gamma, np.ones(len(gamma)))
     return lp_norm(f, p, g, budget=budget)
 
 

@@ -105,8 +105,7 @@ class WeightFunction:
         with np.errstate(over="ignore", invalid="ignore"):
             out = a * (-self.s * np.log(t) + self.eps * np.log(np.log(t + math.e)) - t * math.log(self.R))
         if not np.isfinite(out).all():
-            name = self.spec_string() if a == 1.0 else f"({self.spec_string()})^{a:g}"
-            raise OverflowError(f"log of weight {name} overflows the float range")
+            raise OverflowError(f"log of weight {_power_name(self, a)} overflows the float range")
         return out
 
     def log_derivative(self, t):
@@ -125,6 +124,11 @@ class WeightFunction:
         """Config-string form accepted by parse_weight."""
         params = ",".join(f"{name}={getattr(self, name):g}" for name in _PARAMS[self.family])
         return f"{self.family}:{params}" if params else self.family
+
+
+def _power_name(psi: WeightFunction, a: float) -> str:
+    """psi^a in messages: the spec string, parenthesized and raised unless a = 1."""
+    return psi.spec_string() if a == 1.0 else f"({psi.spec_string()})^{a:g}"
 
 
 def parse_weight(spec: str) -> WeightFunction:
@@ -309,6 +313,9 @@ class RearrangedWeight:
     def __post_init__(self):
         if not 0.0 < self.p_power < math.inf:
             raise ValueError(f"need finite p_power > 0, got p_power={self.p_power}")
+
+    def __str__(self) -> str:
+        return _power_name(self.psi, self.p_power)
 
     def iter_blocks(self):
         """Yield (boundaries, log values) for successive blocks of shells.

@@ -1,10 +1,13 @@
 import itertools
 import json
 import math
+import re
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nterm import lattice, weights
 from nterm.approx import (
@@ -29,6 +32,69 @@ def test_construction_normalizes_entries():
     assert f.support() == [(1, -2), (4, 5)]
     with pytest.raises(ValueError):
         CoefficientSequence(d=2, entries={(1,): 1.0})
+
+
+@pytest.mark.parametrize("entries, named", [
+    ({(0,): complex("nan"), (1,): 1.0}, "entry 0 (k=(0,))"),
+    ({(1,): 1.0, (2,): complex(0.0, math.inf)}, "entry 1 (k=(2,))"),
+    ({(0.7,): 1.0}, "index component 0.7"),
+    ({(2**63,): 1.0}, f"index component {2**63}"),
+    ({(-(2**63),): 1.0}, f"index component {-(2**63)}"),
+    ({(math.inf,): 1.0}, "index component inf"),
+])
+def test_construction_rejects_bad_entries(entries, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        CoefficientSequence(d=1, entries=entries)
+
+
+def test_repeated_index_rejected():
+    # a mapping cannot repeat a key, but arrays and files can
+    with pytest.raises(ValueError, match=re.escape("entries 0 and 2 repeat the index [1, -1]")):
+        CoefficientSequence.from_arrays(2, [(1, -1), (0, 0), (1.0, -1)], [1.0, 2.0, 3.0])
+    text = json.dumps({"d": 1, "entries": [{"k": [4], "re": 1.0, "im": 0.0},
+                                           {"k": [4], "re": 0.0, "im": 0.0}]})
+    with pytest.raises(ValueError, match=re.escape("entries 0 and 1 repeat the index [4]")):
+        CoefficientSequence.from_json(text)
+
+
+def test_extreme_indices_kept_exactly():
+    big = 2**63 - 1
+    f = CoefficientSequence(d=2, entries={(big, -big): 1.0, (2.0**60, 1): 2.0})
+    assert f.support() == [(2**60, 1), (big, -big)]
+    assert CoefficientSequence.from_json(f.to_json()).support() == f.support()
+
+
+@st.composite
+def coefficient_sets(draw):
+    # keys in a small box and amplitudes from a few values under sign and
+    # conjugate changes, so amplitude and |k|_inf ties are common
+    d = draw(st.integers(1, 3))
+    keys = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d), unique=True, max_size=30))
+    base = [1.0, 0.5, 3.0, 1e-300, 0.1 + 0.2j, 2.5 - 1.5j]
+    values = []
+    for _ in keys:
+        c = complex(draw(st.sampled_from(base)))
+        c = c.conjugate() if draw(st.booleans()) else c
+        values.append(-c if draw(st.booleans()) else c)
+    return d, dict(zip(keys, values))
+
+
+@settings(max_examples=200, deadline=None)
+@given(coefficient_sets(), st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+def test_greedy_and_json_match_dict_references(case, p):
+    d, entries = case
+    f = CoefficientSequence(d=d, entries=entries)
+    kept = {k: v for k, v in entries.items() if v != 0}
+    want = sorted(kept, key=lambda k: (-abs(kept[k]), max(abs(c) for c in k), k))
+    assert [tuple(k) for k in greedy_order(f).tolist()] == want
+    amps = [abs(kept[k]) for k in want]
+    ns = list(range(len(want) + 2))
+    assert greedy_remainders_sp(f, ns, p) == [
+        float(np.sum(np.array(amps[n:], dtype=np.float64) ** p) ** (1.0 / p)) for n in ns]
+    g = CoefficientSequence.from_json(f.to_json())
+    assert np.array_equal(g.keys, f.keys) and g.keys.dtype == np.int64
+    assert g.values.tobytes() == f.values.tobytes()
+    assert dict(g.entries) == kept
 
 
 def test_json_round_trip():
@@ -76,7 +142,7 @@ def test_spec_validation():
 
 def test_greedy_order_tie_rules():
     f = CoefficientSequence(d=1, entries={(0,): 1.0, (1,): 1.0, (-1,): 1.0, (2,): 0.5})
-    assert greedy_order(f) == [(0,), (-1,), (1,), (2,)]
+    assert greedy_order(f).tolist() == [[0], [-1], [1], [2]]
 
 
 def test_greedy_remainder_frozen():
@@ -99,7 +165,7 @@ def test_greedy_remainders_match_greedy_order_sums():
     amps = rng.choice([0.5, 1.0, 2.0], size=40) * np.exp(2j * np.pi * rng.random(40))
     f = CoefficientSequence(d=2, entries=dict(zip(keys, amps)))
     ns = [0, 3, 10, len(f.entries), len(f.entries) + 5]
-    ordered = np.array([abs(f.entries[k]) for k in greedy_order(f)])
+    ordered = np.array([abs(f.entries[tuple(k)]) for k in greedy_order(f).tolist()])
     for p in (0.5, 1.0, 3.0):
         want = [float(np.sum(ordered[n:] ** p) ** (1.0 / p)) for n in ns]
         assert greedy_remainders_sp(f, ns, p) == want

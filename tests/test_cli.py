@@ -68,6 +68,59 @@ def test_greedy_malformed_input_exit_2(tmp_path, capsys):
     assert "cannot read coefficient file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entries, named", [
+    ('{"k": [0], "re": NaN, "im": 0.0}, {"k": [1], "re": 1.0, "im": 0.0}',
+     "coefficient entry 0 (k=[0]): coefficient (nan+0j) is not finite"),
+    ('{"k": [1], "re": 1.0, "im": 0.0}, {"k": [0.7], "re": 1.0, "im": 0.0}',
+     "coefficient entry 1 (k=[0.7]): index component 0.7 is not an integer"),
+    ('{"k": [2], "re": 1.0, "im": 0.0}, {"k": [3], "re": 1.0, "im": 0.0}, {"k": [2.0], "re": 5.0, "im": 0.0}',
+     "coefficient entries 0 and 2 repeat the index [2]"),
+    ('{"k": [9223372036854775808], "re": 1.0, "im": 0.0}',
+     "coefficient entry 0 (k=[9223372036854775808]): index component 9223372036854775808 is not an integer"),
+    ('{"k": [1], "re": "1.0", "im": 0.0}', "coefficient entry 0: re='1.0' is not a finite number"),
+])
+def test_greedy_rejects_bad_coefficient_file(entries, named, tmp_path, capsys):
+    path = tmp_path / "seq.json"
+    path.write_text(f'{{"d": 1, "entries": [{entries}]}}')
+    assert main(["greedy", "--in", str(path), "--n", "1", "--p", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"cannot read coefficient file {path}: {named}" in err
+
+
+def test_greedy_order_sorts_the_support(tmp_path, capsys):
+    keys = [(a, b) for a in range(-4, 5) for b in range(-3, 4)]
+    entries = {k: complex((3 * k[0] + k[1]) % 5, k[0] % 2) / (1 + abs(k[1])) for k in keys}
+    fpath = tmp_path / "f.json"
+    fpath.write_text(CoefficientSequence(d=2, entries=entries).to_json())
+    jpath = tmp_path / "g.json"
+    assert main(["greedy", "--in", str(fpath), "--n", "5", "--p", "1", "--json-out", str(jpath)]) == 0
+    capsys.readouterr()
+    order = [tuple(k) for k in json.loads(jpath.read_text())["result"]["order"]]
+    support = [k for k, v in entries.items() if v != 0]
+    assert sorted(order) == sorted(support)
+    amps = [abs(entries[k]) for k in order]
+    assert amps == sorted(amps, reverse=True)
+
+
+def test_overflowing_scaled_log_exit_1_json_record(capsys):
+    # s * log psi beyond the float range is a typed error naming the
+    # weight and s, not a RuntimeWarning and an unrelated NoThresholdError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["hfunc", "--psi", "power:s=1e306", "--n", "5", "--s", "200"]) == 1
+        assert main(["hfunc", "--psi", "power:s=1e302", "--n", "5", "--s", "1.0000001"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    records = [json.loads(line)["error"] for line in err.strip().splitlines()]
+    assert records == [
+        {"type": "OverflowError",
+         "message": "s=200 times the log of weight power:s=1e+306 leaves the float range"},
+        {"type": "OverflowError",
+         "message": "s'=1e+07 times the log of weight power:s=1e+302 leaves the float range"},
+    ]
+
+
 def test_compute_error_exit_1_json_record(capsys):
     # p < q with a divergent convergence condition
     code = main(["en-class", "--psi", "power:s=1", "--q", "1", "--p", "0.5", "--n", "2"])
