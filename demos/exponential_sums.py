@@ -26,10 +26,10 @@ def main():
             for gamma in gammas:
                 kmax = int(np.max(np.abs(gamma)))
                 g = GridSpec(d=1, N=6 * kmax + 1)
-                keys = [(int(k),) for k in gamma]
+                keys = gamma[:, None]
                 val = exponential_sum_norm(keys, p, g)
                 ratios.append(val / n ** (1.0 - 1.0 / p))
-                f = CoefficientSequence(d=1, entries={k: 1.0 for k in keys})
+                f = CoefficientSequence(1, keys, np.ones(n))
                 gaps.append(hausdorff_young_gap(f, p, g))
             print(f"{n:>5} {p:>3g} {np.mean(ratios):>11.4f} {min(ratios):>8.4f} "
                   f"{max(ratios):>8.4f} {min(gaps):>11.3e}")

@@ -22,7 +22,7 @@ def main():
     for n in (8, 32, 128):
         f = extremal_function_f1(n, q, psi, 1)
         print(f"{n:>5} {class_membership_norm(f, spec):>11.8f} "
-              f"{len(f.entries):>8} {greedy_remainder_sp(f, n, p):>14.6e}")
+              f"{len(f.keys):>8} {greedy_remainder_sp(f, n, p):>14.6e}")
     print()
 
     table = rate_table("greedy_lp_witness", [8, 16, 32, 64, 128, 256], psi, 1, q=q, p=p)

@@ -3,7 +3,9 @@
 A trigonometric polynomial (or absolutely summable series) on the
 d-torus is represented by its nonzero Fourier coefficients, held in two
 arrays: ``keys``, the (m, d) int64 multi-indices in lexicographic
-order, and ``values``, their complex128 coefficients.  In the
+order, and ``values``, their complex128 coefficients.  The one
+constructor ``CoefficientSequence(d, keys, values)`` takes them in any
+order and sorts them; ``entries`` is a read-only alias of ``keys``.  In the
 coefficient norm ``sp_norm(f, p) = (sum_k |c_k|^p)^(1/p)`` the best
 n-term approximant keeps the n largest amplitudes, so the greedy
 remainder is simultaneously the best n-term and the best orthogonal
@@ -29,10 +31,9 @@ lower-bound order ``psi(n^(1/d)) / n^(1/q)``.
 
 from __future__ import annotations
 
-import functools
+import dataclasses
 import json
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,87 +107,49 @@ def _real_column(col: list, name: str) -> np.ndarray:
     return np.array(col, dtype=np.float64)
 
 
-class _Entries(Mapping):
-    """Read-only dict view ``index tuple -> coefficient`` of a sequence.
-
-    ``len`` reads the array length; the dict itself is built on first
-    lookup or iteration.
-    """
-
-    def __init__(self, keys: np.ndarray, values: np.ndarray):
-        self._keys = keys
-        self._values = values
-        self._dict = None
-
-    def _as_dict(self) -> dict:
-        if self._dict is None:
-            self._dict = dict(zip(map(tuple, self._keys.tolist()), self._values.tolist()))
-        return self._dict
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __getitem__(self, k):
-        return self._as_dict()[k]
-
-    def __iter__(self):
-        return iter(self._as_dict())
-
-
 class CoefficientSequence:
     """Sparse complex coefficients indexed by integer multi-indices.
 
-    Stored as two arrays: ``keys``, the (m, d) int64 indices in
-    lexicographic order, and ``values``, their complex128 coefficients.
-    ``entries`` is a read-only dict view of the same data.  Coefficients
-    exactly zero are dropped.  A ValueError names the offending entry
-    when an index is not d integers of magnitude at most 2**63 - 1
-    (integral floats and numpy integers are accepted), when a
+    The one constructor puts coefficient ``values[i]`` at index
+    ``keys[i]`` (``from_json`` goes through it too).  The sequence is its
+    two read-only arrays: ``keys``, the (m, d) int64 indices sorted
+    lexicographically, and ``values``, their complex128 coefficients;
+    coefficients exactly zero are dropped.  A ValueError names the
+    offending entry when an index is not d integers of magnitude at most
+    2**63 - 1 (integral floats and numpy integers are accepted), when a
     coefficient is not finite, or when an index repeats.
     """
 
-    def __init__(self, d: int, entries: Mapping | None = None):
-        entries = {} if entries is None else entries
-        values = np.fromiter((complex(v) for v in entries.values()), np.complex128, len(entries))
-        self._set(d, list(entries), values)
-
-    @classmethod
-    def from_arrays(cls, d: int, keys, values) -> "CoefficientSequence":
-        """The sequence with coefficient ``values[i]`` at index ``keys[i]``."""
-        f = cls.__new__(cls)
-        f._set(d, keys, np.asarray(values, dtype=np.complex128))
-        return f
-
-    def _set(self, d: int, raw_keys, values: np.ndarray) -> None:
+    def __init__(self, d: int, keys=(), values=()):
+        values = np.asarray(values, dtype=np.complex128)
         if d < 1:
             raise ValueError(f"need d >= 1, got d={d}")
-        if len(raw_keys) != len(values):
-            raise ValueError(f"{len(raw_keys)} indices for {len(values)} coefficients")
-        keys = _index_array(raw_keys, d)
+        if len(keys) != len(values):
+            raise ValueError(f"{len(keys)} indices for {len(values)} coefficients")
+        arr = _index_array(keys, d)
         bad = np.flatnonzero(~np.isfinite(values))
         if len(bad):
             i = int(bad[0])
-            raise ValueError(f"coefficient entry {i} (k={_shown(raw_keys[i])}): "
+            raise ValueError(f"coefficient entry {i} (k={_shown(keys[i])}): "
                              f"coefficient {complex(values[i])} is not finite")
-        order = np.lexsort(keys.T[::-1])
-        keys, values = keys[order], values[order]
-        dup = np.flatnonzero((keys[1:] == keys[:-1]).all(axis=1))
+        order = np.lexsort(arr.T[::-1])
+        arr, values = arr[order], values[order]
+        dup = np.flatnonzero((arr[1:] == arr[:-1]).all(axis=1))
         if len(dup):
             j = int(dup[0])
             raise ValueError(f"coefficient entries {order[j]} and {order[j + 1]} "
-                             f"repeat the index {keys[j].tolist()}")
+                             f"repeat the index {arr[j].tolist()}")
         nonzero = values != 0
         self.d = d
-        self.keys = keys[nonzero]
+        self.keys = arr[nonzero]
         self.values = values[nonzero]
         self.keys.flags.writeable = self.values.flags.writeable = False
 
-    @functools.cached_property
-    def entries(self) -> Mapping:
-        return _Entries(self.keys, self.values)
-
-    def support(self) -> list:
-        return [tuple(k) for k in self.keys.tolist()]
+    @property
+    def entries(self) -> np.ndarray:
+        """Alias of ``keys``, kept because the benchmark tracer counts
+        terms as ``len(f.entries)``."""
+        return self.keys
 
     def amplitudes(self) -> np.ndarray:
         """|c_k| in key order, bit for bit Python's ``abs(complex)``."""
@@ -207,7 +170,7 @@ class CoefficientSequence:
         values = np.empty(len(items), dtype=np.complex128)
         values.real = _real_column([e["re"] for e in items], "re")
         values.imag = _real_column([e["im"] for e in items], "im")
-        return cls.from_arrays(int(data["d"]), [e["k"] for e in items], values)
+        return cls(int(data["d"]), [e["k"] for e in items], values)
 
 
 @dataclass(frozen=True)
@@ -332,26 +295,25 @@ def class_best_nterm_sp_grid(
         raise ValueError(f"need p > 0, got p={p}")
     rw = RearrangedWeight(spec.psi, spec.r, spec.d, p_power=p, budget=budget)
     return [
-        FunctionalResult(
-            value=base.value ** (1.0 / p),
-            l_star=base.l_star,
-            regime=base.regime,
-            tail_truncation_error_bound=base.tail_truncation_error_bound,
-        )
+        dataclasses.replace(base, value=base.value ** (1.0 / p))
         for base in h_functional_grid(rw, ns, spec.q / p, tol=tol, scan_budget=scan_budget)
     ]
 
 
-def extremal_function_f1(n: int, q: float, psi: WeightFunction, d: int) -> CoefficientSequence:
+def extremal_function_f1(n: int, q: float, psi: WeightFunction, d: int,
+                         budget: int | None = None) -> CoefficientSequence:
     """Equal-coefficient witness on the l1 ball of radius (2n/M0)^(1/d).
 
     M0 = 2^d/d! is the l1 growth constant; the common amplitude
     ``C1(n) = (sum_{|k|_1<=R} psi(|k|_1)^(-q))^(-1/q)`` normalizes the
     weighted l_q coefficient norm to exactly 1, so the result lies on
-    the class boundary.
+    the class boundary.  ``budget`` is the point budget of the ball's
+    shell table and enumeration (see :func:`lattice.point_budget`).
 
     Raises
     ------
+    BudgetExceededError
+        If the shell table or the ball's bounding box exceeds the budget.
     ValueError
         If n is too small for the support radius to reach 1.
     OverflowError
@@ -370,7 +332,7 @@ def extremal_function_f1(n: int, q: float, psi: WeightFunction, d: int) -> Coeff
         R -= 1
     if R < 1:
         raise ValueError(f"n={n} is too small for a d={d} witness (support radius below 1)")
-    sd = lattice.shell_counts(1.0, d, R)
+    sd = lattice.shell_counts(1.0, d, R, budget=budget)
     m = np.arange(R + 1, dtype=np.float64)
     # an overflowing (or underflowed, hence 0^-q) term makes the sum inf and C1 zero
     with np.errstate(over="ignore", divide="ignore"):
@@ -379,5 +341,5 @@ def extremal_function_f1(n: int, q: float, psi: WeightFunction, d: int) -> Coeff
     if not c1 > 0.0:
         raise OverflowError(f"witness normalization for {psi.spec_string()} at n={n}: "
                             f"sum of psi^-q over the l1 ball leaves the float range")
-    keys = lattice.enumerate_ball(R, 1.0, d)
-    return CoefficientSequence.from_arrays(d, keys, np.full(len(keys), c1))
+    keys = lattice.enumerate_ball(R, 1.0, d, budget=budget)
+    return CoefficientSequence(d, keys, np.full(len(keys), c1))

@@ -292,14 +292,8 @@ def _cmd_lemma51(args) -> int:
             raise CliValidationError(f"cube of side {side} too small for n={n} frequencies")
         for trial in range(args.trials):
             flat = rng.choice(box ** args.d, size=n, replace=False)
-            gamma = []
-            for idx in sorted(int(v) for v in flat):
-                k = []
-                for _ in range(args.d):
-                    idx, rem = divmod(idx, box)
-                    k.append(rem - side)
-                gamma.append(tuple(k))
-            kmax = max(max(abs(c) for c in k) for k in gamma)
+            gamma = np.stack([flat // box**i % box - side for i in range(args.d)], axis=1)
+            kmax = int(np.abs(gamma).max())
             for p in args.p:
                 N = trig_lp.grid_points(p, kmax, int(2 * math.ceil(p) * max(kmax, 1) + 1))
                 g = GridSpec(d=args.d, N=N)

@@ -183,7 +183,7 @@ def _greedy_witness_error(n: int, q: float, p: float, psi: WeightFunction, d: in
     """L_p error of the n-term greedy approximant of the equal-coefficient
     witness on Z^d: the amplitude times the norm of the leftover
     exponential sum."""
-    f = extremal_function_f1(n, q, psi, d)
+    f = extremal_function_f1(n, q, psi, d, budget=budget)
     rest = greedy_order(f)[n:]
     amp = float(f.amplitudes()[0])
     kmax = trig_lp.max_abs_frequency(f)

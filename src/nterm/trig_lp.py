@@ -116,17 +116,15 @@ def grid_points(p: float, kmax: int, other: int) -> int:
 def exponential_sum_norm(gamma, p: float, g: GridSpec, budget: int | None = None) -> float:
     """L_p norm of the unit-coefficient exponential sum over gamma.
 
-    ``gamma`` is an (m, d) array or an iterable of distinct integer
-    multi-indices; a repeated index is a ValueError.
+    ``gamma`` is an (m, d) integer array or a list of distinct d-tuples;
+    a repeated index is a ValueError.
     """
-    gamma = gamma if isinstance(gamma, np.ndarray) else list(gamma)
     if not len(gamma):
         return 0.0
-    f = CoefficientSequence.from_arrays(g.d, gamma, np.ones(len(gamma)))
-    return lp_norm(f, p, g, budget=budget)
+    return lp_norm(CoefficientSequence(g.d, gamma, np.ones(len(gamma))), p, g, budget=budget)
 
 
-def hausdorff_young_gap(f: CoefficientSequence, p: float, g: GridSpec, budget: int | None = None) -> float:
+def hausdorff_young_gap(f: CoefficientSequence, p: float, g: GridSpec) -> float:
     """sp_norm(f, p') - lp_norm(f, p) for p >= 2, p' = p/(p-1).
 
     Nonnegative up to quadrature error: the coefficient p'-norm
@@ -135,4 +133,4 @@ def hausdorff_young_gap(f: CoefficientSequence, p: float, g: GridSpec, budget: i
     if not p >= 2:
         raise ValueError(f"need p >= 2, got p={p}")
     p_prime = p / (p - 1.0)
-    return sp_norm(f, p_prime) - lp_norm(f, p, g, budget=budget)
+    return sp_norm(f, p_prime) - lp_norm(f, p, g)

@@ -1,7 +1,18 @@
 import numpy as np
 import pytest
 
+from nterm.approx import CoefficientSequence
 from nterm.weights import RearrangedWeight
+
+
+def coeffs(d: int, mapping: dict) -> CoefficientSequence:
+    """The sequence with coefficient ``mapping[k]`` at each index k."""
+    return CoefficientSequence(d, list(mapping), list(mapping.values()))
+
+
+def as_dict(f: CoefficientSequence) -> dict:
+    """``{index tuple: coefficient}`` of the stored (nonzero) coefficients."""
+    return dict(zip(map(tuple, f.keys.tolist()), f.values.tolist()))
 
 
 class ExplicitSequence:

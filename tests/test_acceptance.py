@@ -9,11 +9,10 @@ import math
 import time
 
 import numpy as np
-from conftest import ExplicitSequence, stream_runs
+from conftest import ExplicitSequence, as_dict, coeffs, stream_runs
 
 from nterm import lattice
 from nterm.approx import (
-    CoefficientSequence,
     FunctionClassSpec,
     class_best_nterm_sp,
     class_membership_norm,
@@ -64,9 +63,9 @@ def test_criterion_02_greedy_exhaustive():
         while len(keys) < m:
             keys.add(tuple(int(c) for c in rng.integers(-8, 9, size=d)))
         amps = rng.normal(size=m) + 1j * rng.normal(size=m)
-        f = CoefficientSequence(d=d, entries=dict(zip(keys, amps)))
-        absamps = np.abs(np.array(list(f.entries.values())))
-        for n in range(0, min(len(f.entries), 3) + 1):
+        f = coeffs(d, dict(zip(keys, amps)))
+        absamps = np.abs(f.values)
+        for n in range(0, min(len(f.keys), 3) + 1):
             for p in (0.5, 1.0, 2.0, 3.0):
                 best = math.inf
                 for kept in itertools.combinations(range(len(absamps)), n):
@@ -294,7 +293,7 @@ def test_criterion_09_exponential_sum_window():
             gamma = rng.choice(pool, size=n, replace=False)
             kmax = int(np.max(np.abs(gamma)))
             N = 6 * max(kmax, 1) + 1
-            f = CoefficientSequence(d=1, entries={(int(v),): 1.0 for v in gamma})
+            f = coeffs(1, {(int(v),): 1.0 for v in gamma})
             vals = np.abs(evaluate_on_grid(f, GridSpec(d=1, N=N)))
             for p in (2.0, 4.0, 6.0):
                 norm = float(np.mean(vals**p) ** (1.0 / p))
@@ -327,7 +326,7 @@ def test_criterion_10_extremal_witness():
             f = extremal_function_f1(n, q, P2, 1)
             member = class_membership_norm(f, spec)
             assert member <= 1.0 + 1e-12, f"membership {member} at n={n}, q={q}"
-            c1 = abs(f.entries[(0,)])
+            c1 = abs(as_dict(f)[(0,)])
             ratios.append(c1 * n ** (1.0 / q) / float(P2(float(n))))
         spread = max(ratios) / min(ratios)
         worst = max(worst, spread)

@@ -1,10 +1,13 @@
 import json
 import math
 import warnings
+from collections import Counter
 
+import numpy as np
 import pytest
+from conftest import coeffs
 
-from nterm.approx import CoefficientSequence, FunctionClassSpec, class_best_nterm_sp
+from nterm.approx import FunctionClassSpec, class_best_nterm_sp
 from nterm.cli import main
 from nterm.weights import WeightFunction
 
@@ -92,7 +95,7 @@ def test_greedy_order_sorts_the_support(tmp_path, capsys):
     keys = [(a, b) for a in range(-4, 5) for b in range(-3, 4)]
     entries = {k: complex((3 * k[0] + k[1]) % 5, k[0] % 2) / (1 + abs(k[1])) for k in keys}
     fpath = tmp_path / "f.json"
-    fpath.write_text(CoefficientSequence(d=2, entries=entries).to_json())
+    fpath.write_text(coeffs(2, entries).to_json())
     jpath = tmp_path / "g.json"
     assert main(["greedy", "--in", str(fpath), "--n", "5", "--p", "1", "--json-out", str(jpath)]) == 0
     capsys.readouterr()
@@ -139,7 +142,7 @@ def test_compute_error_exit_1_json_record(capsys):
 
 
 def test_greedy_frozen(tmp_path, capsys):
-    f = CoefficientSequence(d=1, entries={(0,): 3.0, (2,): -4.0})
+    f = coeffs(1, {(0,): 3.0, (2,): -4.0})
     fpath = tmp_path / "f.json"
     fpath.write_text(f.to_json())
     jpath = tmp_path / "g.json"
@@ -351,6 +354,17 @@ def test_en_class_budget_reaches_the_stream(capsys):
     assert capsys.readouterr().out.startswith("n,en\n4,")
 
 
+def test_witness_budget_reaches_the_ball(capsys):
+    # the witness's l1 ball is built under --budget, before any quadrature
+    # grid: at d = 1, n = 1000 its shell table has 1001 entries
+    argv = ["rates", "--quantity", "greedy_lp_witness", "--psi", "power:s=1", "--q", "2",
+            "--p", "4", "--d", "1", "--n-grid", "1000", "--budget", "1000"]
+    assert main(argv) == 1
+    error = json.loads(capsys.readouterr().err.strip())["error"]
+    assert error["type"] == "BudgetExceededError"
+    assert "shell table to radius 1000 needs 1001 entries" in error["message"]
+
+
 def test_int64_overflow_exit_1_json_record(capsys):
     code = main(["shells", "--r", "inf", "--d", "6", "--m-max", "800"])
     assert code == 1
@@ -427,6 +441,34 @@ def test_rates_budget_reaches_the_stream(capsys):
     assert json.loads(capsys.readouterr().err.strip())["error"]["type"] == "BudgetExceededError"
     assert main(argv + ["--budget", "10000"]) == 0
     assert capsys.readouterr().out.startswith("n,computed,predicted,ratio\n4,")
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_lemma51_draw_is_pinned(d, capsys):
+    # redraw the frequency sets from the seed: flat index v holds the
+    # base-(2 side + 1) digits of k + side, lowest digit first; at p = 4 the
+    # norm is the fourth root of the additive energy #{k1 + k2 = k3 + k4}
+    n_grid, trials, seed = [5, 12], 2, 11
+    argv = ["lemma51", "--n-grid", "5,12", "--p", "4", "--trials", str(trials),
+            "--seed", str(seed), "--d", str(d)]
+    assert main(argv) == 0
+    norms = [float(row.split(",")[3]) for row in capsys.readouterr().out.strip().split("\n")[1:]]
+    rng = np.random.default_rng(seed)
+    want = []
+    for n in n_grid:
+        side = max(1, math.ceil(2.0 * n ** (1.0 / d)))
+        box = 2 * side + 1
+        for _ in range(trials):
+            gamma = []
+            for v in rng.choice(box ** d, size=n, replace=False).tolist():
+                k = []
+                for _ in range(d):
+                    v, digit = divmod(v, box)
+                    k.append(digit - side)
+                gamma.append(tuple(k))
+            sums = Counter(tuple(a + b for a, b in zip(k1, k2)) for k1 in gamma for k2 in gamma)
+            want.append(sum(c * c for c in sums.values()) ** 0.25)
+    assert norms == pytest.approx(want, rel=1e-12)
 
 
 def test_lemma51_even_p_grid_fits_budget(capsys):
@@ -568,7 +610,7 @@ def test_metadata_holds_the_command_flags(argv, tmp_path, monkeypatch, capsys):
     from nterm.cli import _COMMON, _SUBCOMMANDS
 
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "f.json").write_text(CoefficientSequence(d=1, entries={(0,): 3.0, (2,): -4.0}).to_json())
+    (tmp_path / "f.json").write_text(coeffs(1, {(0,): 3.0, (2,): -4.0}).to_json())
     assert main(argv + ["--json-out", "m.json"]) == 0
     capsys.readouterr()
     meta = json.loads((tmp_path / "m.json").read_text())["metadata"]

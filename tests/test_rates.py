@@ -4,6 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from conftest import as_dict
 
 from nterm import lattice
 from nterm.approx import extremal_function_f1
@@ -111,9 +112,9 @@ def test_rate_table_greedy_witness_bounds():
     t2 = rate_table("greedy_lp_witness", [4, 8], P2, 2, q=1.0, p=4.0)
     for n, c in zip(t2.n, t2.computed):
         f = extremal_function_f1(int(n), 1.0, P2, 2)
-        amp = abs(next(iter(f.entries.values())))
+        amp = abs(f.values.tolist()[0])
         # equal amplitudes: greedy ties go by |k|_inf, then lexicographic
-        rest = sorted(f.entries, key=lambda k: (max(abs(kc) for kc in k), k))[int(n):]
+        rest = sorted(as_dict(f), key=lambda k: (max(abs(kc) for kc in k), k))[int(n):]
         sums = Counter((a[0] + b[0], a[1] + b[1]) for a in rest for b in rest)
         energy = sum(m * m for m in sums.values())
         assert c == pytest.approx(amp * energy ** 0.25, rel=1e-12)

@@ -3,6 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from conftest import coeffs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -43,7 +44,7 @@ def test_grid_spec_validation():
 
 
 def test_evaluate_frozen_fourth_roots():
-    f = CoefficientSequence(d=1, entries={(1,): 1.0})
+    f = coeffs(1, {(1,): 1.0})
     vals = evaluate_on_grid(f, GridSpec(d=1, N=4))
     assert np.allclose(vals, [1.0, 1j, -1.0, -1j], atol=1e-14)
 
@@ -53,7 +54,7 @@ def test_evaluate_empty_and_mismatch():
     assert np.all(evaluate_on_grid(CoefficientSequence(d=2), g) == 0.0)
     assert max_abs_frequency(CoefficientSequence(d=2)) == 0
     with pytest.raises(ValueError):
-        evaluate_on_grid(CoefficientSequence(d=1, entries={(1,): 1.0}), g)
+        evaluate_on_grid(coeffs(1, {(1,): 1.0}), g)
 
 
 def test_evaluate_matches_brute_force_d2_d3():
@@ -61,7 +62,7 @@ def test_evaluate_matches_brute_force_d2_d3():
     for d, N in ((2, 6), (3, 5)):
         keys = {tuple(int(c) for c in rng.integers(-3, 4, size=d)) for _ in range(5)}
         entries = {k: complex(rng.normal(), rng.normal()) for k in keys}
-        f = CoefficientSequence(d=d, entries=entries)
+        f = coeffs(d, entries)
         got = evaluate_on_grid(f, GridSpec(d=d, N=N))
         want = np.zeros((N,) * d, dtype=np.complex128)
         for idx in np.ndindex(*(N,) * d):
@@ -73,14 +74,14 @@ def test_evaluate_matches_brute_force_d2_d3():
 def test_parseval_on_exact_grid():
     rng = np.random.default_rng(3)
     entries = {(int(k),): complex(rng.normal(), rng.normal()) for k in range(-6, 7)}
-    f = CoefficientSequence(d=1, entries=entries)
+    f = coeffs(1, entries)
     g = GridSpec(d=1, N=13)
     assert is_exact_quadrature(f, 2.0, g)
     assert lp_norm(f, 2.0, g) == pytest.approx(sp_norm(f, 2.0), rel=1e-12)
 
 
 def test_exactness_predicate_and_doubling():
-    f = CoefficientSequence(d=1, entries={(-1,): 0.5, (0,): 1.0, (2,): -0.25})
+    f = coeffs(1, {(-1,): 0.5, (0,): 1.0, (2,): -0.25})
     g1 = GridSpec(d=1, N=9)
     g2 = GridSpec(d=1, N=18)
     assert is_exact_quadrature(f, 4.0, g1)
@@ -93,7 +94,7 @@ def test_exactness_predicate_and_doubling():
 
 def test_single_exponential_norm_one():
     for d, k in ((1, (5,)), (2, (3, -4)), (3, (1, 0, 2))):
-        f = CoefficientSequence(d=d, entries={k: 1.0})
+        f = coeffs(d, {k: 1.0})
         for p in (1.0, 2.0, 3.5, 6.0):
             assert lp_norm(f, p, GridSpec(d=d, N=7)) == pytest.approx(1.0, rel=1e-13)
 
@@ -114,7 +115,7 @@ def test_exponential_sum_parseval():
 def test_holder_monotone_in_p():
     rng = np.random.default_rng(19)
     entries = {(int(k),): complex(rng.normal(), rng.normal()) for k in rng.integers(-8, 9, size=6)}
-    f = CoefficientSequence(d=1, entries=entries)
+    f = coeffs(1, entries)
     g = GridSpec(d=1, N=64)
     ps = (1.0, 1.5, 2.0, 2.7, 4.0, 6.0)
     vals = [lp_norm(f, p, g) for p in ps]
@@ -130,7 +131,7 @@ def test_hausdorff_young_gap():
     rng = np.random.default_rng(5)
     for _ in range(10):
         keys = {(int(k),): complex(rng.normal(), rng.normal()) for k in rng.integers(-5, 6, size=4)}
-        f = CoefficientSequence(d=1, entries=keys)
+        f = coeffs(1, keys)
         for p in (2.0, 4.0, 6.0):
             g = GridSpec(d=1, N=int(p) * 5 + 1)
             assert hausdorff_young_gap(f, p, g) >= -1e-9
@@ -141,13 +142,13 @@ def test_hausdorff_young_gap():
 
 
 def test_lp_norm_validation():
-    f = CoefficientSequence(d=1, entries={(1,): 1.0})
+    f = coeffs(1, {(1,): 1.0})
     with pytest.raises(ValueError):
         lp_norm(f, 0.5, GridSpec(d=1, N=8))
 
 
 def test_grid_budget():
-    f = CoefficientSequence(d=1, entries={(1,): 1.0})
+    f = coeffs(1, {(1,): 1.0})
     with pytest.raises(BudgetExceededError):
         evaluate_on_grid(f, GridSpec(d=1, N=16), budget=10)
     with pytest.raises(BudgetExceededError):
@@ -156,7 +157,7 @@ def test_grid_budget():
 
 
 def test_grid_points_smallest_exact_grid_for_even_p():
-    f = CoefficientSequence(d=1, entries={(3,): 1.0, (-1,): 2.0})
+    f = coeffs(1, {(3,): 1.0, (-1,): 2.0})
     for p in (2.0, 4, 6.0):
         N = grid_points(p, 3, 99)
         assert N == int(p) * 3 + 1
@@ -175,7 +176,7 @@ def test_fourth_power_is_additive_energy():
         box = np.array(list(np.ndindex(*(2 * side + 1,) * d))) - side
         gamma = [tuple(int(c) for c in k) for k in box[rng.choice(len(box), size=size, replace=False)]]
         assert any(c < 0 for k in gamma for c in k)
-        f = CoefficientSequence(d=d, entries={k: 1.0 for k in gamma})
+        f = coeffs(d, {k: 1.0 for k in gamma})
         g = GridSpec(d=d, N=4 * max_abs_frequency(f) + 1)
         assert is_exact_quadrature(f, 4.0, g)
         assert lp_norm(f, 4.0, g) ** 4 == pytest.approx(additive_energy(gamma), rel=1e-12)
@@ -188,7 +189,7 @@ def test_aliased_frequencies_add_up():
         (2, 5, {(0, 0): 1.0, (5, -5): 2.0, (-6, 7): -1j, (1, 2): 0.75, (12, -1): 3.0}),
     )
     for d, N, entries in cases:
-        got = evaluate_on_grid(CoefficientSequence(d=d, entries=entries), GridSpec(d=d, N=N))
+        got = evaluate_on_grid(coeffs(d, entries), GridSpec(d=d, N=N))
         l1 = sum(abs(v) for v in entries.values())
         assert np.allclose(got, direct_sum(entries, d, N), rtol=0.0, atol=1e-12 * l1)
 
@@ -207,7 +208,7 @@ def sparse_polynomials(draw):
 @given(sparse_polynomials())
 def test_fft_grid_matches_direct_sum(case):
     d, N, entries = case
-    f = CoefficientSequence(d=d, entries=entries)
+    f = coeffs(d, entries)
     got = evaluate_on_grid(f, GridSpec(d=d, N=N))
-    l1 = sum(abs(v) for v in f.entries.values())
+    l1 = sum(abs(v) for v in f.values.tolist())
     assert np.allclose(got, direct_sum(entries, d, N), rtol=0.0, atol=1e-12 * l1)
