@@ -214,14 +214,26 @@ def _emit(args, csv_text: str | None, result: dict) -> None:
         sys.stdout.write(doc + "\n")
 
 
+def _int_csv(header: str, *columns: np.ndarray) -> str:
+    """CSV text of equal-length integer columns under ``header``.
+
+    One %-format per block of 4096 rows, so the Python ints of a single
+    block are alive at a time.
+    """
+    table = np.column_stack(columns)
+    row = ",".join(["%d"] * len(columns)) + "\n"
+    return header + "".join(row * len(block) % tuple(block.ravel().tolist())
+                            for block in np.split(table, range(4096, len(table), 4096)))
+
+
 def _cmd_shells(args) -> int:
     if args.d < 1 or args.m_max < 1:
         raise CliValidationError("need d >= 1 and m-max >= 1")
     sd = lattice.shell_counts(args.r, args.d, args.m_max, budget=args.budget)
     fit = lattice.fit_growth_bounds(sd)
-    nu, V = sd.nu.tolist(), sd.V.tolist()
-    csv_text = "m,nu,V\n" + "".join(f"{m},{a},{b}\n" for m, (a, b) in enumerate(zip(nu, V)))
-    result = {"nu": nu, "V": V, "fit": dataclasses.asdict(fit)}
+    nu = sd.nu
+    csv_text = _int_csv("m,nu,V\n", np.arange(len(nu)), nu, sd.V)
+    result = {"nu": nu, "V": sd.V, "fit": dataclasses.asdict(fit)}
     _emit(args, csv_text, result)
     return 0
 

@@ -7,25 +7,33 @@ rounded-up quasi-norm equals ``m``.  Cumulative counts ``V_m`` grow like
 ``M0 * m^d`` with ``M0 = 2^d`` for ``r = inf`` and ``M0 = 2^d / d!`` for
 ``r = 1``; :func:`fit_growth_bounds` recovers the constants empirically.
 
-Shell counts are exact (integer arithmetic) for ``r in {1, inf}`` at
-any d, for every r at ``d = 1`` (``V_m = 2m + 1``) and for ``r = 2`` at
-``d = 2``.  Every other case, ``r = 2`` at ``d >= 3`` included,
-histograms an enumerated box with a float quasi-norm and a 1e-9 snap
-when rounding up to the shell index.  :func:`shell_index` is that rule
-for one point, and :func:`enumerate_ball` decides ball membership by it.
+Shell counts are exact for ``r in {1, inf}`` at any d, for every r at
+``d = 1`` (``V_m = 2m + 1``) and for ``r = 2`` at ``d = 2``.  The last
+sums ``isqrt(m^2 - x^2)`` over columns as ``floor(sqrt(.))`` in float64,
+exact for integers below 2^50, so radii stop below 2^25.  Every other
+case, ``r = 2`` at ``d >= 3`` included, histograms the orthant
+``[0, m]^d`` with a float quasi-norm and a 1e-9 snap when rounding up to
+the shell index, each point counted with its 2^(nonzero coordinates)
+sign copies.  :func:`shell_index` is that rule for one point, and
+:func:`enumerate_ball` decides ball membership by it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 DEFAULT_POINT_BUDGET = 2**24
 
 _CEIL_SNAP = 1e-9
+
+# points (or radius-column pairs) per vectorized block of a shell table
+_BLOCK_POINTS = 2**15
+
+# r = 2, d = 2 counts take float square roots of integers below m^2 < 2^50
+_L2_EXACT_RADIUS = 2**25
 
 
 class BudgetExceededError(RuntimeError):
@@ -83,11 +91,31 @@ def shell_index(k, r) -> int:
     return int(math.ceil(quasi_norm(coords, r) - _CEIL_SNAP))
 
 
+def _power_bound(m: int, r: float) -> float:
+    # largest float S with ceil(S ** (1/r) - snap) <= m: shell_index's
+    # ball boundary moved to the power domain (pow is monotone), so that
+    # the ball is the points whose sum of |k_i|^r is at most this bound
+    def inside(s: float) -> bool:
+        return math.ceil(s ** (1.0 / r) - _CEIL_SNAP) <= m
+
+    s = (m + _CEIL_SNAP) ** r
+    while not inside(s):
+        s = math.nextafter(s, 0.0)
+    while inside(math.nextafter(s, math.inf)):
+        s = math.nextafter(s, math.inf)
+    return s
+
+
 def enumerate_ball(m: int, r, d: int, budget: int | None = None) -> list[tuple[int, ...]]:
     """All k in Z^d with |k|_r <= m, in lexicographic order.
 
     Membership is ``shell_index(k, r) <= m``, the rule the shell counts
-    use, so the ball holds exactly ``V_m`` points.
+    use, so the ball holds exactly ``V_m`` points.  It is decided for
+    the whole box at once: in integers for ``r in {1, 2, inf}``, and
+    otherwise by comparing the sum of ``|k_i|^r`` (the terms and
+    coordinate order of :func:`shell_index`) with the largest sum whose
+    snapped ceiling of the root is at most m, with about 9 bytes of
+    scratch per box point.
 
     Raises
     ------
@@ -105,7 +133,22 @@ def enumerate_ball(m: int, r, d: int, budget: int | None = None) -> list[tuple[i
         raise BudgetExceededError(
             f"ball enumeration needs {(2 * m + 1) ** d} candidate points, budget is {limit}"
         )
-    return [k for k in product(range(-m, m + 1), repeat=d) if shell_index(k, r) <= m]
+    # per-coordinate terms combined over the box by broadcasting, one
+    # coordinate after the other, so the flat C order is lexicographic
+    c = np.abs(np.arange(-m, m + 1, dtype=np.int64))
+    if math.isinf(r):
+        terms, combine, bound = c, np.maximum, m
+    elif r in (1.0, 2.0):
+        terms, combine, bound = c ** int(r), np.add, m ** int(r)
+    else:
+        rf = float(r)
+        terms, combine, bound = np.array([float(v) ** rf for v in c]), np.add, _power_bound(m, rf)
+    total = terms
+    for _ in range(1, d):
+        total = combine.outer(total, terms)
+    inside = np.flatnonzero(total <= bound)
+    points = np.stack(np.unravel_index(inside, total.shape), axis=1) - m
+    return list(map(tuple, points.tolist()))
 
 
 # --- cumulative ball counts -------------------------------------------------
@@ -136,20 +179,18 @@ def _counts_l1(m: np.ndarray, d: int) -> np.ndarray:
 
 
 def _counts_l2_d2(m_max: int) -> np.ndarray:
-    # number of (k1, k2) with k1^2 + k2^2 <= m^2, exact via isqrt.  The
-    # axes hold 1 + 4m points; each open quadrant holds
-    # 2 * sum_{x=1..a} isqrt(m^2 - x^2) - a^2 with a = isqrt(m^2 // 2),
-    # the columns x <= a and rows y <= a overlapping in an a-by-a square
-    out = np.empty(m_max + 1, dtype=np.int64)
-    for m in range(m_max + 1):
-        a = math.isqrt(m * m // 2)
-        x = np.arange(1, a + 1, dtype=np.int64)
-        s = m * m - x * x
-        t = np.floor(np.sqrt(s.astype(np.float64))).astype(np.int64)
-        # repair float rounding at perfect squares
-        t = np.where((t + 1) * (t + 1) <= s, t + 1, t)
-        t = np.where(t * t > s, t - 1, t)
-        out[m] = 1 + 4 * m + 4 * (2 * int(np.sum(t)) - a * a)
+    # number of (k1, k2) with k1^2 + k2^2 <= m^2: the axes hold 1 + 4m
+    # points and each open quadrant sum_{x=1..m} isqrt(m^2 - x^2), taken
+    # for a block of radii at once as floor(sqrt(.)) in float64, where
+    # squares, roots and row sums are exact integers while m < 2^25
+    m = np.arange(m_max + 1, dtype=np.int64)
+    mf = m.astype(np.float64)
+    out = 1 + 4 * m
+    rows = max(1, _BLOCK_POINTS // max(m_max, 1))
+    for lo in range(1, m_max + 1, rows):
+        radii = mf[lo:lo + rows, None]
+        s = np.maximum(radii * radii - mf[1:lo + len(radii)] ** 2, 0.0)
+        out[lo:lo + len(radii)] += 4 * np.floor(np.sqrt(s)).sum(axis=1).astype(np.int64)
     return out
 
 
@@ -164,20 +205,25 @@ def _count_bound(r, d: int, m: int) -> int:
     return (2 * m + 1) ** d
 
 
-def _check_int64(r, d: int, m_max: int) -> None:
-    """Raise OverflowError when V_{m_max} would not fit in int64."""
-    if _count_bound(r, d, m_max) <= _INT64_MAX:
-        return
-    lo, hi = 0, m_max  # _count_bound(lo) fits, _count_bound(hi) does not
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _count_bound(r, d, mid) <= _INT64_MAX:
-            lo = mid
-        else:
-            hi = mid
-    raise OverflowError(
-        f"ball counts for r={r}, d={d} exceed int64 past radius {lo}; requested radius {m_max}"
-    )
+def _check_closed_range(r, d: int, m_max: int) -> None:
+    """Raise OverflowError when V_{m_max} would not fit in int64, or for
+    r = 2, d = 2 when m_max is past the float column sums' exact range."""
+    if _count_bound(r, d, m_max) > _INT64_MAX:
+        lo, hi = 0, m_max  # _count_bound(lo) fits, _count_bound(hi) does not
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if _count_bound(r, d, mid) <= _INT64_MAX:
+                lo = mid
+            else:
+                hi = mid
+        raise OverflowError(
+            f"ball counts for r={r}, d={d} exceed int64 past radius {lo}; requested radius {m_max}"
+        )
+    if r == 2.0 and d == 2 and m_max >= _L2_EXACT_RADIUS:
+        raise OverflowError(
+            f"r=2, d=2 ball counts are exact only below radius {_L2_EXACT_RADIUS}; "
+            f"requested radius {m_max}"
+        )
 
 
 def ball_counts(r, d: int, m) -> np.ndarray:
@@ -191,11 +237,13 @@ def ball_counts(r, d: int, m) -> np.ndarray:
     OverflowError
         If V_m for the largest requested m does not fit in int64; the
         message names the largest radius that does (for r = 2, d = 2
-        the bound is the one of the enclosing cube).
+        the bound is the one of the enclosing cube).  For r = 2, d = 2
+        also past radius 2^25 - 1, where the float column sums stop
+        being exact; the message names the requested radius.
     """
     m_arr = np.asarray(m, dtype=np.int64)
     if has_closed_counts(r, d) and m_arr.size:
-        _check_int64(r, d, int(m_arr.max()))
+        _check_closed_range(r, d, int(m_arr.max()))
     if math.isinf(r):
         return (2 * m_arr + 1) ** d
     if r == 1.0:
@@ -215,20 +263,28 @@ def _counts_enumerated(r, d: int, m_max: int, budget: int | None) -> np.ndarray:
         raise BudgetExceededError(
             f"shell histogram needs {box} candidate points, budget is {limit}"
         )
-    nu = np.zeros(m_max + 1, dtype=np.int64)
     rf = float(r)
-    # vectorize over all but the first coordinate
-    rest = np.array(
-        list(product(range(-m_max, m_max + 1), repeat=d - 1)), dtype=np.int64
-    )
-    rest_pow = np.abs(rest).astype(np.float64) ** rf
-    rest_sum = rest_pow.sum(axis=1)
-    for k1 in range(-m_max, m_max + 1):
-        norms = (abs(k1) ** rf + rest_sum) ** (1.0 / rf)
-        idx = np.ceil(norms - _CEIL_SNAP).astype(np.int64)
-        keep = idx <= m_max
-        nu += np.bincount(idx[keep], minlength=m_max + 1)
-    return np.cumsum(nu)
+    # the orthant [0, m_max]^d, each point weighted by its 2^(nonzero
+    # coordinates) sign copies; per point |k1|^r plus the sum of the
+    # other coordinates' powers, blocks of k1 rows at a time
+    axis = np.arange(m_max + 1, dtype=np.int64)
+    rest = np.stack(np.meshgrid(*[axis] * (d - 1), indexing="ij"), axis=-1).reshape(-1, d - 1)
+    rest_sum = (rest.astype(np.float64) ** rf).sum(axis=1)
+    rest_copies = 2.0 ** np.count_nonzero(rest, axis=1)
+    # |k1|^r by Python's float pow, the rest by numpy's (which may differ
+    # in the last bit): the frozen per-point sums of these tables
+    first = np.array([k1 ** rf for k1 in range(m_max + 1)])
+    first_copies = np.where(axis > 0, 2.0, 1.0)
+    nu = np.zeros(m_max + 2, dtype=np.int64)
+    rows = max(1, _BLOCK_POINTS // len(rest))
+    for lo in range(0, m_max + 1, rows):
+        norms = (first[lo:lo + rows, None] + rest_sum) ** (1.0 / rf)
+        # shells past m_max share one overflow bin, dropped below
+        idx = np.minimum(np.ceil(norms - _CEIL_SNAP), m_max + 1).astype(np.int64)
+        copies = first_copies[lo:lo + rows, None] * rest_copies
+        # a block's weighted counts stay far below 2^53: exact float sums
+        nu += np.bincount(idx.ravel(), weights=copies.ravel(), minlength=m_max + 2).astype(np.int64)
+    return np.cumsum(nu[:-1])
 
 
 @dataclass(eq=False)
@@ -264,9 +320,12 @@ def shell_counts(r, d: int, m_max: int, budget: int | None = None) -> ShellDecom
     """Shell decomposition of Z^d under |.|_r up to radius m_max.
 
     Uses closed forms for ``r in {1, inf}`` (any d), every r at
-    ``d = 1`` and ``r = 2`` at ``d = 2``; other cases enumerate a
-    bounding box under the point budget.  The table holds one entry per radius, and its length counts
-    against the point budget like enumerated points do.
+    ``d = 1`` and ``r = 2`` at ``d = 2`` (float column sums, exact below
+    radius 2^25); other cases histogram the orthant ``[0, m_max]^d``
+    with sign multiplicities, in blocks of at most 2^15 points, as long
+    as the whole box ``(2 m_max + 1)^d`` fits the point budget.  The
+    table holds one entry per radius, and its length counts against the
+    point budget like enumerated points do.
 
     Raises
     ------
@@ -274,7 +333,8 @@ def shell_counts(r, d: int, m_max: int, budget: int | None = None) -> ShellDecom
         If m_max + 1 entries exceed the point budget, or enumeration is
         required and its box exceeds it.
     OverflowError
-        When closed-form counts up to m_max do not fit in int64.
+        When closed-form counts up to m_max do not fit in int64, or for
+        r = 2, d = 2 past radius 2^25 - 1.
     """
     if m_max < 0:
         raise ValueError(f"m_max must be nonnegative, got {m_max}")
@@ -288,6 +348,7 @@ def shell_counts(r, d: int, m_max: int, budget: int | None = None) -> ShellDecom
             f"shell table to radius {m_max} needs {m_max + 1} entries, budget is {limit}"
         )
     if has_closed_counts(r, d):
+        _check_closed_range(r, d, m_max)  # before the radii are allocated
         V = ball_counts(r, d, np.arange(m_max + 1, dtype=np.int64))
     else:
         V = _counts_enumerated(r, d, m_max, budget)

@@ -184,13 +184,18 @@ def alpha(psi: WeightFunction, t):
 
 @dataclass(frozen=True)
 class ClassBReport:
-    """Evidence that psi is slowly vanishing: 1 < psi(t)/psi(ct) <= K, psi -> 0."""
+    """Evidence that psi is slowly vanishing: 1 < psi(t)/psi(ct) <= K, psi -> 0.
+
+    The ratios are reported by their natural logs, which stay finite
+    where the ratios themselves leave the float range (exp weights, or
+    ``power:s=1e300``).
+    """
 
     c: float
-    min_ratio: float
-    max_ratio: float
+    log_min_ratio: float
+    log_max_ratio: float
     ratios_above_one: bool
-    ratio_growth: float  # ratio at largest t over ratio at smallest t
+    log_ratio_growth: float  # log of the ratio at largest t over the ratio at smallest t
     unbounded_ratio: bool
     psi_at_tmax: float
     vanishing_evidence: bool
@@ -200,27 +205,26 @@ class ClassBReport:
 def check_class_b(psi: WeightFunction) -> ClassBReport:
     """Grid evidence for membership in the slowly-vanishing weight class.
 
-    Reports min/max of psi(t)/psi(2t) over a log grid t in [1, 1e6],
-    whether all ratios exceed 1, whether their growth across the grid
-    stays under 10 (an unbounded ratio disqualifies, e.g. exponential
-    weights), and whether psi at the largest grid point has dropped
-    below 1e-6.
+    Reports the log of the min/max of psi(t)/psi(2t) over a log grid t
+    in [1, 1e6], whether all ratios exceed 1, whether their growth
+    across the grid stays under 10 (an unbounded ratio disqualifies,
+    e.g. exponential weights), and whether psi at the largest grid point
+    has dropped below 1e-6.
     """
     grid = np.geomspace(1.0, 1e6, 61)
-    # log domain: psi may underflow well inside the grid (exp family)
+    # log domain: psi may underflow well inside the grid (exp family),
+    # and its ratios overflow
     log_ratios = psi.log_value(grid) - psi.log_value(2.0 * grid)
-    with np.errstate(over="ignore"):
-        ratios = np.exp(log_ratios)
-        growth = float(np.exp(log_ratios[-1] - log_ratios[0]))
-    unbounded = growth > 10.0
+    growth = float(log_ratios[-1] - log_ratios[0])
+    unbounded = growth > math.log(10.0)
     tail = float(psi(grid[-1]))
     above = bool(np.all(log_ratios > 0.0))
     return ClassBReport(
         c=2.0,
-        min_ratio=float(ratios.min()),
-        max_ratio=float(ratios.max()),
+        log_min_ratio=float(log_ratios.min()),
+        log_max_ratio=float(log_ratios.max()),
         ratios_above_one=above,
-        ratio_growth=growth,
+        log_ratio_growth=growth,
         unbounded_ratio=unbounded,
         psi_at_tmax=tail,
         vanishing_evidence=tail < 1e-6,

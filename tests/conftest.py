@@ -1,7 +1,10 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
 from nterm.approx import CoefficientSequence
+from nterm.lattice import shell_index
 from nterm.weights import RearrangedWeight
 
 
@@ -13,6 +16,24 @@ def coeffs(d: int, mapping: dict) -> CoefficientSequence:
 def as_dict(f: CoefficientSequence) -> dict:
     """``{index tuple: coefficient}`` of the stored (nonzero) coefficients."""
     return dict(zip(map(tuple, f.keys.tolist()), f.values.tolist()))
+
+
+def ball_by_points(r, d: int, m: int) -> list[tuple[int, ...]]:
+    """Points k of [-m, m]^d with shell_index(k, r) <= m, in lexicographic order.
+
+    A pure-Python oracle: one shell_index call per box point.
+    """
+    return [k for k in product(range(-m, m + 1), repeat=d) if shell_index(k, r) <= m]
+
+
+def shell_sizes_by_points(r, d: int, m: int) -> list[int]:
+    """nu_0..nu_m of Z^d under |.|_r: one shell_index call per point of [-m, m]^d."""
+    nu = [0] * (m + 1)
+    for k in product(range(-m, m + 1), repeat=d):
+        i = shell_index(k, r)
+        if i <= m:
+            nu[i] += 1
+    return nu
 
 
 class ExplicitSequence:

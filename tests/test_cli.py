@@ -344,6 +344,28 @@ def test_check_psi_exp_alpha_from_log_derivative(capsys):
     assert decay["satisfied"] is True and decay["note"] == ""
 
 
+def _finite_fields(doc) -> bool:
+    if isinstance(doc, dict):
+        return all(_finite_fields(v) for v in doc.values())
+    if isinstance(doc, list):
+        return all(_finite_fields(v) for v in doc)
+    return doc not in ("inf", "-inf", "nan") and not (isinstance(doc, float) and not math.isfinite(doc))
+
+
+@pytest.mark.parametrize("spec, log_ratio", [("exp:R=2", 1e6 * math.log(2.0)),
+                                             ("power:s=1e300", 1e300 * math.log(2.0))])
+@pytest.mark.parametrize("s_flag", [[], ["--s", "2"]])
+def test_check_psi_overflowing_ratios_are_finite_logs(spec, log_ratio, s_flag, capsys):
+    # psi(t)/psi(2t) leaves the float range (R^t at t = 1e6, 2^1e300);
+    # its log does not, and no field of the report is inf or nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["check-psi", "--psi", spec] + s_flag) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert _finite_fields(doc)
+    assert doc["result"]["class_b"]["log_max_ratio"] == pytest.approx(log_ratio, rel=1e-12)
+
+
 def test_en_class_budget_reaches_the_stream(capsys):
     # the stream's shell table grows under --budget, not only the first table
     argv = ["en-class", "--psi", "power:s=2", "--q", "1", "--p", "2", "--n", "4",

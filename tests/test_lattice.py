@@ -1,10 +1,15 @@
+import json
 import math
+import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
+from conftest import ball_by_points, shell_sizes_by_points
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nterm.cli import main
 from nterm.lattice import (
     BudgetExceededError,
     ShellDecomposition,
@@ -73,11 +78,15 @@ def test_enumerate_ball_small():
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from([0.5, 1, 1.5, 2, 3, math.inf]), st.integers(1, 3), st.integers(0, 7))
 @example(1.5, 1, 5)
+@example(0.5, 2, 4)   # |(1, 1)|_0.5 = 4 exactly
+@example(3, 3, 9)     # |(1, 6, 8)|_3 = 9 exactly: on the boundary up to float rounding
 def test_enumerate_ball_is_the_counted_ball(r, d, m):
     pts = enumerate_ball(m, r, d)
     assert len(pts) == shell_counts(r, d, m).V[m]
     assert all(shell_index(k, r) <= m for k in pts)
     assert pts == sorted(pts)
+    # the vectorized membership test is the per-point shell_index filter
+    assert pts == ball_by_points(r, d, m)
     if d == 1:
         # closed form for every r, so the table needs no (2m+1)-point box
         assert shell_counts(r, 1, m, budget=m + 1).V.tolist() == (2 * np.arange(m + 1) + 1).tolist()
@@ -104,19 +113,31 @@ def test_ball_counts_match_enumeration():
     for r, d in [(1, 2), (1, 3), (2, 2), (math.inf, 2), (math.inf, 3)]:
         m_max = 6
         sd = shell_counts(r, d, m_max)
-        counts = np.zeros(m_max + 1, dtype=np.int64)
-        for k in enumerate_ball(m_max, r, d):
-            counts[shell_index(k, r)] += 1
-        assert sd.nu.tolist() == counts.tolist()
+        counts = shell_sizes_by_points(r, d, m_max)
+        assert sd.nu.tolist() == counts
         assert sd.V.tolist() == np.cumsum(counts).tolist()
 
 
 def test_shell_counts_generic_r():
     sd = shell_counts(1.5, 2, 5)
-    counts = np.zeros(6, dtype=np.int64)
-    for k in enumerate_ball(5, 1.5, 2):
-        counts[shell_index(k, 1.5)] += 1
-    assert sd.nu.tolist() == counts.tolist()
+    assert sd.nu.tolist() == shell_sizes_by_points(1.5, 2, 5)
+
+
+# largest radius per dimension of the per-point oracle's box
+_ORACLE_M = {2: 30, 3: 9, 4: 3}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([0.5, 1.5, 2, 2.5, 3]), st.integers(2, 4), st.integers(0, 30))
+@example(2, 2, 5)     # 3^2 + 4^2 = 5^2: points on the circle off the axes
+@example(2, 2, 16)    # a perfect square
+@example(2, 2, 25)    # 7^2 + 24^2 = 15^2 + 20^2 = 25^2
+@example(3, 3, 9)     # |(1, 6, 8)|_3 = 9
+def test_shell_counts_match_per_point_oracle(r, d, m):
+    # orthant histograms (and the r = 2, d = 2 column sums) against one
+    # shell_index call per point of the whole box
+    m = min(m, _ORACLE_M[d])
+    assert shell_counts(r, d, m).V.tolist() == np.cumsum(shell_sizes_by_points(r, d, m)).tolist()
 
 
 def test_decomposition_validation():
@@ -162,10 +183,57 @@ def test_fit_bounds_bracket_counts():
 
 
 def test_gauss_circle_octant_count_matches_integer_count():
-    # pure-int count: sum over the x-column of 2*isqrt(m^2 - x^2) + 1
-    want = [sum(2 * math.isqrt(m * m - x * x) + 1 for x in range(-m, m + 1)) for m in range(501)]
-    assert ball_counts(2, 2, np.arange(501)).tolist() == want
+    # pure-int count: sum over the x-column of 2*isqrt(m^2 - x^2) + 1, i.e.
+    # 1 + 4m + 4 sum_{x=1..m} isqrt(m^2 - x^2)
+    squares = [x * x for x in range(3001)]
+    want = [1 + 4 * m + 4 * sum(map(math.isqrt, map((m * m).__sub__, squares[1:m + 1])))
+            for m in range(3001)]
+    assert ball_counts(2, 2, np.arange(3001)).tolist() == want
     assert int(ball_counts(2, 2, [4095])[0]) == 52681305
+
+
+def test_gauss_circle_exact_radius_limit(capsys):
+    # floor(sqrt(float(s))) = isqrt(s) for integer s < 2^50, hardest next
+    # to perfect squares: m < 2^25 keeps every m^2 - x^2 in that range
+    top = 2**25 - 1
+    for k in [2, 3, 1000, 2**24 + 1, top - 1, top]:
+        for s in (k * k - 1, k * k, k * k + 1):
+            if s < 2**50:
+                assert math.floor(math.sqrt(float(s))) == math.isqrt(s)
+    # past it a typed error, raised before any work: no 2^25-radius table,
+    # nor the 2^25 radii to tabulate
+    tracemalloc.start()
+    for m in (2**25, 10**9):
+        with pytest.raises(OverflowError, match=f"exact only below radius 33554432; requested radius {m}$"):
+            ball_counts(2, 2, [0, m])
+        with pytest.raises(OverflowError, match=f"requested radius {m}$"):
+            shell_counts(2, 2, m, budget=2**31)
+    assert main(["shells", "--r", "2", "--d", "2", "--m-max", str(2**25), "--budget", str(2**26)]) == 1
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 2**20
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"]["type"] == "OverflowError"
+
+
+@pytest.mark.parametrize("r, d, m_max", [("inf", 3, 2000), ("1.5", 2, 60)])
+def test_shells_output_bytes_golden(r, d, m_max, tmp_path):
+    # the CSV and JSON equal their per-row f-string and per-element list
+    # renderings
+    csv_path, json_path = tmp_path / "out.csv", tmp_path / "out.json"
+    argv = ["shells", "--r", r, "--d", str(d), "--m-max", str(m_max),
+            "--out", str(csv_path), "--json-out", str(json_path)]
+    assert main(argv) == 0
+    sd = shell_counts(float(r), d, m_max)
+    nu, V = sd.nu.tolist(), sd.V.tolist()
+    want_csv = "m,nu,V\n" + "".join(f"{m},{a},{b}\n" for m, (a, b) in enumerate(zip(nu, V)))
+    assert csv_path.read_text() == want_csv
+    metadata = {"budget": None, "command": "shells", "config": None, "d": d,
+                "json_out": str(json_path), "m_max": m_max, "out": str(csv_path),
+                "r": "inf" if r == "inf" else float(r)}
+    result = {"nu": nu, "V": V, "fit": asdict(fit_growth_bounds(sd))}
+    want_json = json.dumps({"metadata": metadata, "result": result}, sort_keys=True) + "\n"
+    assert json_path.read_text() == want_json
 
 
 def _exact_count(r, d, m):
@@ -177,9 +245,7 @@ def _exact_count(r, d, m):
 
 def test_exact_count_formula_matches_enumeration_high_d():
     for r, d in [(math.inf, 5), (1, 5), (1, 6)]:
-        counts = [0] * 3
-        for k in enumerate_ball(2, r, d):
-            counts[shell_index(k, r)] += 1
+        counts = shell_sizes_by_points(r, d, 2)
         assert np.cumsum(counts).tolist() == [_exact_count(r, d, m) for m in range(3)]
 
 

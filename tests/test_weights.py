@@ -185,8 +185,8 @@ def test_parse_weight_rejects_non_finite(spec):
 def test_class_b_power_in_exp_out():
     rep = check_class_b(WeightFunction("power", s=2.0))
     assert rep.in_class
-    assert rep.min_ratio == pytest.approx(4.0)
-    assert rep.max_ratio == pytest.approx(4.0)
+    assert rep.log_min_ratio == pytest.approx(math.log(4.0))
+    assert rep.log_max_ratio == pytest.approx(math.log(4.0))
     rep_exp = check_class_b(WeightFunction("exp", R=2.0))
     assert not rep_exp.in_class
     assert rep_exp.unbounded_ratio
