@@ -304,7 +304,7 @@ def extremal_function_f1(n: int, q: float, psi: WeightFunction, d: int,
                          budget: int | None = None) -> CoefficientSequence:
     """Equal-coefficient witness on the l1 ball of radius (2n/M0)^(1/d).
 
-    M0 = 2^d/d! is the l1 growth constant; the common amplitude
+    M0 = ``lattice.ball_volume(1, d)`` = 2^d/d!; the common amplitude
     ``C1(n) = (sum_{|k|_1<=R} psi(|k|_1)^(-q))^(-1/q)`` normalizes the
     weighted l_q coefficient norm to exactly 1, so the result lies on
     the class boundary.  ``budget`` is the point budget of the ball's
@@ -332,11 +332,11 @@ def extremal_function_f1(n: int, q: float, psi: WeightFunction, d: int,
         R -= 1
     if R < 1:
         raise ValueError(f"n={n} is too small for a d={d} witness (support radius below 1)")
-    sd = lattice.shell_counts(1.0, d, R, budget=budget)
+    nu = np.diff(lattice.shell_counts(1.0, d, R, budget=budget), prepend=0)
     m = np.arange(R + 1, dtype=np.float64)
     # an overflowing (or underflowed, hence 0^-q) term makes the sum inf and C1 zero
     with np.errstate(over="ignore", divide="ignore"):
-        inv_q_sum = float(np.sum(sd.nu * psi(np.maximum(m, 1.0)) ** (-q)))
+        inv_q_sum = float(np.sum(nu * psi(np.maximum(m, 1.0)) ** (-q)))
     c1 = inv_q_sum ** (-1.0 / q)
     if not c1 > 0.0:
         raise OverflowError(f"witness normalization for {psi.spec_string()} at n={n}: "

@@ -229,11 +229,10 @@ def _int_csv(header: str, *columns: np.ndarray) -> str:
 def _cmd_shells(args) -> int:
     if args.d < 1 or args.m_max < 1:
         raise CliValidationError("need d >= 1 and m-max >= 1")
-    sd = lattice.shell_counts(args.r, args.d, args.m_max, budget=args.budget)
-    fit = lattice.fit_growth_bounds(sd)
-    nu = sd.nu
-    csv_text = _int_csv("m,nu,V\n", np.arange(len(nu)), nu, sd.V)
-    result = {"nu": nu, "V": sd.V, "fit": dataclasses.asdict(fit)}
+    V = lattice.shell_counts(args.r, args.d, args.m_max, budget=args.budget)
+    nu = np.diff(V, prepend=0)
+    csv_text = _int_csv("m,nu,V\n", np.arange(len(nu)), nu, V)
+    result = {"nu": nu, "V": V, "M0": lattice.ball_volume(args.r, args.d)}
     _emit(args, csv_text, result)
     return 0
 
@@ -356,7 +355,7 @@ def _cmd_check_psi(args) -> int:
 # subcommand -> (handler, help line, required flag dests, flags before
 # the common ones), in help order
 _SUBCOMMANDS = {
-    "shells": (_cmd_shells, "shell counts of the integer lattice and growth fit", ("m_max",), (
+    "shells": (_cmd_shells, "shell counts of the integer lattice and their growth constant M0", ("m_max",), (
         _R, _D, _flag("--m-max", type=int), _BUDGET)),
     "hfunc": (_cmd_hfunc, "extremal functional H_n over a rearranged weight", ("psi", "n", "s"), (
         _flag("--psi", help="weight, e.g. power:s=2 or const"),

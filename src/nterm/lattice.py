@@ -1,11 +1,11 @@
-"""Integer lattice geometry: quasi-norms, balls, shells, and growth fits.
+"""Integer lattice geometry: quasi-norms, balls, shells, and their growth.
 
 Multi-indices are plain tuples of Python ints.  For a radius exponent
 ``r`` (any positive real, or ``math.inf``) the ball of radius ``m`` is
 ``{k in Z^d : |k|_r <= m}`` and shell ``m`` collects the points whose
-rounded-up quasi-norm equals ``m``.  Cumulative counts ``V_m`` grow like
-``M0 * m^d`` with ``M0 = 2^d`` for ``r = inf`` and ``M0 = 2^d / d!`` for
-``r = 1``; :func:`fit_growth_bounds` recovers the constants empirically.
+rounded-up quasi-norm equals ``m``.  A shell table is the int64 array of
+cumulative counts ``V_0..V_m``; it grows like ``M0 * m^d`` with ``M0``
+the volume of the unit l_r ball (:func:`ball_volume`).
 
 Shell counts are exact for ``r in {1, inf}`` at any d, for every r at
 ``d = 1`` (``V_m = 2m + 1``) and for ``r = 2`` at ``d = 2``.  The last
@@ -21,7 +21,6 @@ sign copies.  :func:`shell_index` is that rule for one point, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,6 +88,25 @@ def shell_index(k, r) -> int:
         root = math.isqrt(s)
         return root if root * root == s else root + 1
     return int(math.ceil(quasi_norm(coords, r) - _CEIL_SNAP))
+
+
+def ball_volume(r, d: int) -> float:
+    """Volume ``(2 Gamma(1 + 1/r))^d / Gamma(1 + d/r)`` of the unit l_r ball in R^d.
+
+    The growth constant M0 of the counts, ``V_m ~ M0 * m^d``; exact at
+    ``r = inf`` and d = 1.  OverflowError, naming r and d, when it is not
+    a positive normal float (it underflows for r < 0.00195 at d = 2).
+    """
+    # log(volume / 2^d) = j ln 2 + a rest in [0, ln 2), so exp stays in range
+    log_rest = d * math.lgamma(1.0 + 1.0 / r) - math.lgamma(1.0 + d / r)
+    try:
+        j = math.floor(log_rest / math.log(2.0))
+        volume = math.ldexp(math.exp(log_rest - j * math.log(2.0)), d + j)
+    except (OverflowError, ValueError):  # an infinite or nan log, or past ldexp's range
+        volume = 0.0
+    if volume < 2.0**-1022:  # the smallest normal float
+        raise OverflowError(f"unit l_r ball volume for r={r}, d={d} is not a positive normal float")
+    return volume
 
 
 def _power_bound(m: int, r: float) -> float:
@@ -264,68 +282,53 @@ def _counts_enumerated(r, d: int, m_max: int, budget: int | None) -> np.ndarray:
             f"shell histogram needs {box} candidate points, budget is {limit}"
         )
     rf = float(r)
+    # |k1|^r by Python's float pow, the others' by numpy's (which may
+    # differ in the last bit): the frozen per-point sums of these tables
+    try:
+        first = np.array([k1 ** rf for k1 in range(m_max + 1)])
+    except OverflowError:
+        raise OverflowError(f"shell table for r={r}, d={d}: radius {m_max} raised to r "
+                            f"leaves the float range") from None
+    axis = np.arange(m_max + 1, dtype=np.int64)
+    powers = axis.astype(np.float64) ** rf
+    # float rounding (r near 0) must leave every axis point k on shell k
+    with np.errstate(over="ignore"):
+        for along in (first, powers):
+            off = np.flatnonzero(np.ceil(along ** (1.0 / rf) - _CEIL_SNAP) != axis)
+            if off.size:
+                raise FloatingPointError(f"shell table for r={r}, d={d}: float rounding moves "
+                                         f"the axis point at radius {off[0]} off its shell")
     # the orthant [0, m_max]^d, each point weighted by its 2^(nonzero
     # coordinates) sign copies; per point |k1|^r plus the sum of the
     # other coordinates' powers, blocks of k1 rows at a time
-    axis = np.arange(m_max + 1, dtype=np.int64)
     rest = np.stack(np.meshgrid(*[axis] * (d - 1), indexing="ij"), axis=-1).reshape(-1, d - 1)
-    rest_sum = (rest.astype(np.float64) ** rf).sum(axis=1)
     rest_copies = 2.0 ** np.count_nonzero(rest, axis=1)
-    # |k1|^r by Python's float pow, the rest by numpy's (which may differ
-    # in the last bit): the frozen per-point sums of these tables
-    first = np.array([k1 ** rf for k1 in range(m_max + 1)])
     first_copies = np.where(axis > 0, 2.0, 1.0)
     nu = np.zeros(m_max + 2, dtype=np.int64)
     rows = max(1, _BLOCK_POINTS // len(rest))
-    for lo in range(0, m_max + 1, rows):
-        norms = (first[lo:lo + rows, None] + rest_sum) ** (1.0 / rf)
-        # shells past m_max share one overflow bin, dropped below
-        idx = np.minimum(np.ceil(norms - _CEIL_SNAP), m_max + 1).astype(np.int64)
-        copies = first_copies[lo:lo + rows, None] * rest_copies
-        # a block's weighted counts stay far below 2^53: exact float sums
-        nu += np.bincount(idx.ravel(), weights=copies.ravel(), minlength=m_max + 2).astype(np.int64)
+    # an off-axis sum or root past the float range is a shell past m_max
+    with np.errstate(over="ignore"):
+        rest_sum = powers[rest].sum(axis=1)
+        for lo in range(0, m_max + 1, rows):
+            norms = (first[lo:lo + rows, None] + rest_sum) ** (1.0 / rf)
+            # shells past m_max share one overflow bin, dropped below
+            idx = np.minimum(np.ceil(norms - _CEIL_SNAP), m_max + 1).astype(np.int64)
+            copies = first_copies[lo:lo + rows, None] * rest_copies
+            # a block's weighted counts stay far below 2^53: exact float sums
+            nu += np.bincount(idx.ravel(), weights=copies.ravel(), minlength=m_max + 2).astype(np.int64)
     return np.cumsum(nu[:-1])
 
 
-@dataclass(eq=False)
-class ShellDecomposition:
-    """Cumulative counts V_m for radii 0..m_max, and shell sizes nu_m.
+def shell_counts(r, d: int, m_max: int, budget: int | None = None) -> np.ndarray:
+    """Cumulative counts V_0..V_{m_max} of Z^d under |.|_r, as int64.
 
-    ``V[m]`` counts lattice points with shell index at most m and
-    ``nu[m]`` those with shell index exactly m; ``V[0] = nu[0] = 1``
-    (the origin) and V is strictly increasing.
-    """
-
-    r: float
-    d: int
-    V: np.ndarray
-
-    def __post_init__(self):
-        self.V = np.asarray(self.V, dtype=np.int64)
-        if self.V.ndim != 1 or not self.V.size or self.V[0] != 1:
-            raise ValueError("V must be a 1-d array with V[0] = 1 (the origin)")
-        if np.any(self.V[1:] <= self.V[:-1]):
-            raise ValueError("cumulative counts must be strictly increasing")
-
-    @property
-    def nu(self) -> np.ndarray:
-        return np.diff(self.V, prepend=0)
-
-    @property
-    def m_max(self) -> int:
-        return len(self.V) - 1
-
-
-def shell_counts(r, d: int, m_max: int, budget: int | None = None) -> ShellDecomposition:
-    """Shell decomposition of Z^d under |.|_r up to radius m_max.
-
-    Uses closed forms for ``r in {1, inf}`` (any d), every r at
-    ``d = 1`` and ``r = 2`` at ``d = 2`` (float column sums, exact below
-    radius 2^25); other cases histogram the orthant ``[0, m_max]^d``
-    with sign multiplicities, in blocks of at most 2^15 points, as long
-    as the whole box ``(2 m_max + 1)^d`` fits the point budget.  The
-    table holds one entry per radius, and its length counts against the
-    point budget like enumerated points do.
+    ``V[0] = 1`` (the origin), V increases strictly, and the shell sizes
+    are ``np.diff(V, prepend=0)``.  Closed forms cover ``r in {1, inf}``,
+    every r at ``d = 1`` and ``r = 2`` at ``d = 2`` (exact below radius
+    2^25); other cases histogram the orthant ``[0, m_max]^d`` with sign
+    multiplicities, in blocks of at most 2^15 points, while the box
+    ``(2 m_max + 1)^d`` fits the point budget.  The table's length
+    counts against the point budget like enumerated points do.
 
     Raises
     ------
@@ -333,8 +336,11 @@ def shell_counts(r, d: int, m_max: int, budget: int | None = None) -> ShellDecom
         If m_max + 1 entries exceed the point budget, or enumeration is
         required and its box exceeds it.
     OverflowError
-        When closed-form counts up to m_max do not fit in int64, or for
-        r = 2, d = 2 past radius 2^25 - 1.
+        When closed-form counts up to m_max do not fit in int64, for
+        r = 2, d = 2 past radius 2^25 - 1, or when m_max^r leaves the
+        float range.
+    FloatingPointError
+        When float rounding (r near 0) moves points off their shells.
     """
     if m_max < 0:
         raise ValueError(f"m_max must be nonnegative, got {m_max}")
@@ -352,54 +358,7 @@ def shell_counts(r, d: int, m_max: int, budget: int | None = None) -> ShellDecom
         V = ball_counts(r, d, np.arange(m_max + 1, dtype=np.int64))
     else:
         V = _counts_enumerated(r, d, m_max, budget)
-    return ShellDecomposition(r=float(r) if not math.isinf(r) else math.inf, d=d, V=V)
-
-
-@dataclass(frozen=True)
-class GrowthFit:
-    """Result of fitting V_m ~ M0 * m^d with shift allowances c1, c2."""
-
-    M0: float
-    c1: float
-    c2: float
-    ok: bool
-
-
-def fit_growth_bounds(sd: ShellDecomposition) -> GrowthFit:
-    """Empirical growth constants for a shell decomposition.
-
-    Fits ``V_m^(1/d)`` linearly in ``m`` over ``m in (1, m_max]`` (the
-    slope to the d-th power estimates M0, which is exact whenever
-    ``V_m^(1/d)`` is affine in m, as for r = inf) and then finds the
-    smallest nonnegative shifts with
-
-        M0 * (m - c1)^d < V_m <= M0 * (m + c2)^d
-
-    on the fitted range.  ``ok`` requires both shifts at most 16.
-
-    Raises
-    ------
-    ValueError
-        If fewer than two shells lie in (1, m_max].
-    """
-    m = np.arange(sd.m_max + 1, dtype=np.float64)
-    mask = m > 1
-    if mask.sum() < 2:
-        raise ValueError(f"need at least two shells with m > 1, have {int(mask.sum())}")
-    mm = m[mask]
-    roots = sd.V[mask].astype(np.float64) ** (1.0 / sd.d)
-    slope, _ = np.polyfit(mm, roots, 1)
-    M0 = float(slope) ** sd.d
-    radii = (sd.V[mask].astype(np.float64) / M0) ** (1.0 / sd.d)
-    c1 = max(0.0, float(np.max(mm - radii)))
-    c2 = max(0.0, float(np.max(radii - mm)))
-    # the lower bound is strict and both bounds must survive float
-    # re-evaluation; nudge the shifts past rounding if needed
-    lower = M0 * np.maximum(mm - c1, 0.0) ** sd.d
-    if np.any(lower >= sd.V[mask]):
-        c1 = c1 + 1e-9 * max(1.0, c1)
-    upper = M0 * (mm + c2) ** sd.d
-    if np.any(upper < sd.V[mask]):
-        c2 = c2 + 1e-9 * max(1.0, c2)
-    ok = bool(slope > 0 and c1 <= 16.0 and c2 <= 16.0)
-    return GrowthFit(M0=M0, c1=c1, c2=c2, ok=ok)
+    if V[0] != 1 or np.any(V[1:] <= V[:-1]):
+        raise FloatingPointError(f"shell counts for r={r}, d={d} to radius {m_max} do not start "
+                                 f"at 1 and increase strictly")
+    return V

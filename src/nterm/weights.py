@@ -209,15 +209,17 @@ def check_class_b(psi: WeightFunction) -> ClassBReport:
     in [1, 1e6], whether all ratios exceed 1, whether their growth
     across the grid stays under 10 (an unbounded ratio disqualifies,
     e.g. exponential weights), and whether psi at the largest grid point
-    has dropped below 1e-6.
+    has dropped below 1e-6 (OverflowError if its log leaves the float
+    range).
     """
     grid = np.geomspace(1.0, 1e6, 61)
-    # log domain: psi may underflow well inside the grid (exp family),
-    # and its ratios overflow
-    log_ratios = psi.log_value(grid) - psi.log_value(2.0 * grid)
+    # log ratios, term by term from the one formula: psi may underflow
+    # (exp family), its ratios overflow, and a huge s adds exactly s ln 2
+    log_ratios = (psi.s * math.log(2.0) + grid * math.log(psi.R)
+                  + psi.eps * (np.log(np.log(grid + math.e)) - np.log(np.log(2.0 * grid + math.e))))
     growth = float(log_ratios[-1] - log_ratios[0])
     unbounded = growth > math.log(10.0)
-    tail = float(psi(grid[-1]))
+    vanishing = psi.log_value(grid[-1]) < math.log(1e-6)
     above = bool(np.all(log_ratios > 0.0))
     return ClassBReport(
         c=2.0,
@@ -226,9 +228,9 @@ def check_class_b(psi: WeightFunction) -> ClassBReport:
         ratios_above_one=above,
         log_ratio_growth=growth,
         unbounded_ratio=unbounded,
-        psi_at_tmax=tail,
-        vanishing_evidence=tail < 1e-6,
-        in_class=above and not unbounded and tail < 1e-6,
+        psi_at_tmax=float(psi(grid[-1])),
+        vanishing_evidence=vanishing,
+        in_class=above and not unbounded and vanishing,
     )
 
 
@@ -342,7 +344,7 @@ class RearrangedWeight:
                 # blocks are copies, so this frees the outgoing table
                 # before the next one is built
                 V = None
-                V = shell_counts(self.r, self.d, m_new, budget=self.budget).V
+                V = shell_counts(self.r, self.d, m_new, budget=self.budget)
             m_arr = np.arange(m0, m0 + size, dtype=np.float64)
             yield V[m0 : m0 + size].copy(), self.psi._log_power(m_arr, self.p_power)
             m0 += size

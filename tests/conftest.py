@@ -1,10 +1,11 @@
+import math
 from itertools import product
 
 import numpy as np
 import pytest
 
 from nterm.approx import CoefficientSequence
-from nterm.lattice import shell_index
+from nterm.lattice import ball_volume, shell_index
 from nterm.weights import RearrangedWeight
 
 
@@ -34,6 +35,31 @@ def shell_sizes_by_points(r, d: int, m: int) -> list[int]:
         if i <= m:
             nu[i] += 1
     return nu
+
+
+def count_bracket(r, d: int, m: int) -> tuple[float, float]:
+    """Proven bounds ``lo <= V_m <= hi`` on the counts of Z^d under |.|_r.
+
+    With M0 the unit-ball volume, t = min(r, 1) and rho = d^(1/r)/2 (1/2
+    at r = inf) the l_r norm of a unit cube's half-diagonal:
+
+        M0 * max(m^t - rho^t, 0)^(d/t) <= V_m <= M0 * (m^t + rho^t)^(d/t).
+
+    The unit cubes centred on the counted points are disjoint; they
+    cover the ball of the lower radius and lie inside that of the upper
+    one, since |x + y|_r <= |x|_r + |y|_r for r >= 1 and
+    |x + y|_r^r <= |x|_r^r + |y|_r^r for r < 1.  A non-integer r counts
+    points up to m + 1e-9 (the shell-index snap), which is then the
+    upper radius.  Both ends are rounded outward by one ulp, which keeps
+    the top exact at r = inf, where it equals V_m.
+    """
+    M0 = ball_volume(r, d)
+    t = min(r, 1.0)
+    rho = 0.5 if math.isinf(r) else d ** (1.0 / r) / 2.0
+    top = m if math.isinf(r) or float(r).is_integer() else m + 1e-9
+    lo = M0 * max(m**t - rho**t, 0.0) ** (d / t)
+    hi = M0 * (top**t + rho**t) ** (d / t)
+    return math.nextafter(lo, 0.0), math.nextafter(hi, math.inf)
 
 
 class ExplicitSequence:

@@ -9,7 +9,7 @@ import math
 import time
 
 import numpy as np
-from conftest import ExplicitSequence, as_dict, coeffs, stream_runs
+from conftest import ExplicitSequence, as_dict, coeffs, count_bracket, stream_runs
 
 from nterm import lattice
 from nterm.approx import (
@@ -266,20 +266,24 @@ def test_criterion_07_class_error_order_window_and_embedding():
 
 
 def test_criterion_08_shell_growth_constants():
+    # M0 is the unit-ball volume, exact for r = inf and r = 1, and every
+    # V_m of a 64-radius table lies inside its proven volume bracket
     t0 = time.perf_counter()
     details = []
     for d in (1, 2, 3):
-        fit = lattice.fit_growth_bounds(lattice.shell_counts(math.inf, d, 64))
-        want = 2.0**d
-        err = abs(fit.M0 - want) / want
-        assert err < 0.01, f"r=inf d={d}: M0={fit.M0:.4f} vs {want} ({err:.2%})"
-        fit = lattice.fit_growth_bounds(lattice.shell_counts(1.0, d, 64))
+        assert lattice.ball_volume(math.inf, d) == 2.0**d
         want = 2.0**d / math.factorial(d)
-        err1 = abs(fit.M0 - want) / want
-        assert err1 < 0.05, f"r=1 d={d}: M0={fit.M0:.4f} vs {want} ({err1:.2%})"
-        details.append(f"d={d}: {err:.2%}/{err1:.2%}")
+        err1 = abs(lattice.ball_volume(1.0, d) - want) / want
+        assert err1 < 1e-12, f"r=1 d={d}: M0={lattice.ball_volume(1.0, d)!r} vs {want!r}"
+        widths = []
+        for r in (math.inf, 1.0):
+            V = lattice.shell_counts(r, d, 64)
+            brackets = [count_bracket(r, d, m) for m in range(65)]
+            assert all(lo <= v <= hi for v, (lo, hi) in zip(V.tolist(), brackets)), f"r={r} d={d}"
+            widths.append(brackets[-1][1] / brackets[-1][0])
+        details.append(f"d={d}: hi/lo at m=64 {widths[0]:.3f}/{widths[1]:.3f}")
     elapsed = time.perf_counter() - t0
-    _line(8, elapsed < 10.0, f"M0 errors {'; '.join(details)}, {elapsed:.2f}s < 10s")
+    _line(8, elapsed < 10.0, f"exact M0, counts bracketed; {'; '.join(details)}, {elapsed:.2f}s < 10s")
 
 
 def test_criterion_09_exponential_sum_window():

@@ -30,7 +30,16 @@ def test_shells_json_mirror(tmp_path, capsys):
     assert doc["metadata"]["d"] == 2
     assert doc["result"]["nu"] == [1, 4, 8, 12, 16]
     assert doc["result"]["V"] == [1, 5, 13, 25, 41]
-    assert "M0" in doc["result"]["fit"]
+    assert doc["result"]["M0"] == pytest.approx(2.0, rel=1e-12, abs=0)   # 2^d / d!
+    assert "fit" not in doc["result"]
+
+
+@pytest.mark.parametrize("m_max", [1, 2])
+def test_shells_smallest_tables(m_max, capsys):
+    # m-max >= 1 is the whole rule: no fit asks for more shells
+    assert main(["shells", "--d", "2", "--r", "1.5", "--m-max", str(m_max)]) == 0
+    rows = ["0,1,1\n", "1,4,5\n", "2,8,13\n"]
+    assert capsys.readouterr().out == "m,nu,V\n" + "".join(rows[:m_max + 1])
 
 
 def test_metadata_round_trips_every_flag(tmp_path, capsys):

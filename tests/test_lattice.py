@@ -1,21 +1,22 @@
 import json
 import math
+import re
 import tracemalloc
-from dataclasses import asdict
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
-from conftest import ball_by_points, shell_sizes_by_points
+from conftest import ball_by_points, count_bracket, shell_sizes_by_points
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nterm.cli import main
 from nterm.lattice import (
     BudgetExceededError,
-    ShellDecomposition,
     ball_counts,
+    ball_volume,
     enumerate_ball,
-    fit_growth_bounds,
     quasi_norm,
     shell_counts,
     shell_index,
@@ -82,14 +83,14 @@ def test_enumerate_ball_small():
 @example(3, 3, 9)     # |(1, 6, 8)|_3 = 9 exactly: on the boundary up to float rounding
 def test_enumerate_ball_is_the_counted_ball(r, d, m):
     pts = enumerate_ball(m, r, d)
-    assert len(pts) == shell_counts(r, d, m).V[m]
+    assert len(pts) == shell_counts(r, d, m)[m]
     assert all(shell_index(k, r) <= m for k in pts)
     assert pts == sorted(pts)
     # the vectorized membership test is the per-point shell_index filter
     assert pts == ball_by_points(r, d, m)
     if d == 1:
         # closed form for every r, so the table needs no (2m+1)-point box
-        assert shell_counts(r, 1, m, budget=m + 1).V.tolist() == (2 * np.arange(m + 1) + 1).tolist()
+        assert shell_counts(r, 1, m, budget=m + 1).tolist() == (2 * np.arange(m + 1) + 1).tolist()
 
 
 def test_enumerate_ball_budget():
@@ -112,15 +113,13 @@ def test_ball_counts_match_enumeration():
     # closed forms against a brute-force histogram oracle
     for r, d in [(1, 2), (1, 3), (2, 2), (math.inf, 2), (math.inf, 3)]:
         m_max = 6
-        sd = shell_counts(r, d, m_max)
         counts = shell_sizes_by_points(r, d, m_max)
-        assert sd.nu.tolist() == counts
-        assert sd.V.tolist() == np.cumsum(counts).tolist()
+        assert shell_counts(r, d, m_max).tolist() == np.cumsum(counts).tolist()
 
 
 def test_shell_counts_generic_r():
-    sd = shell_counts(1.5, 2, 5)
-    assert sd.nu.tolist() == shell_sizes_by_points(1.5, 2, 5)
+    nu = np.diff(shell_counts(1.5, 2, 5), prepend=0)
+    assert nu.tolist() == shell_sizes_by_points(1.5, 2, 5)
 
 
 # largest radius per dimension of the per-point oracle's box
@@ -137,49 +136,93 @@ def test_shell_counts_match_per_point_oracle(r, d, m):
     # orthant histograms (and the r = 2, d = 2 column sums) against one
     # shell_index call per point of the whole box
     m = min(m, _ORACLE_M[d])
-    assert shell_counts(r, d, m).V.tolist() == np.cumsum(shell_sizes_by_points(r, d, m)).tolist()
-
-
-def test_decomposition_validation():
-    for bad in ([2, 6], [1, 5, 5], [1, 9, 5], [], [[1, 9]]):
-        with pytest.raises(ValueError):
-            ShellDecomposition(r=2.0, d=2, V=np.array(bad, dtype=np.int64))
-    sd = ShellDecomposition(r=2.0, d=2, V=np.array([1, 5, 13], dtype=np.int64))
-    assert sd.nu.tolist() == [1, 4, 8]
+    assert shell_counts(r, d, m).tolist() == np.cumsum(shell_sizes_by_points(r, d, m)).tolist()
 
 
 def test_shell_counts_prefix():
     # a longer table starts with the shorter one
-    sd = shell_counts(math.inf, 2, 3)
-    sd2 = shell_counts(math.inf, 2, 6)
-    assert sd2.m_max == 6
-    assert sd2.V[:4].tolist() == sd.V.tolist()
+    V = shell_counts(math.inf, 2, 3)
+    V2 = shell_counts(math.inf, 2, 6)
+    assert V2.dtype == np.int64 and len(V2) == 7
+    assert V2[:4].tolist() == V.tolist()
 
 
-def test_fit_growth_frozen():
-    sd = shell_counts(math.inf, 2, 64)
-    fit = fit_growth_bounds(sd)
-    assert fit.ok
-    assert abs(fit.M0 - 4.0) < 0.04
-    sd1 = shell_counts(1, 2, 64)
-    fit1 = fit_growth_bounds(sd1)
-    assert fit1.ok
-    assert abs(fit1.M0 - 2.0) < 0.1
-    sd3 = shell_counts(1, 3, 64)
-    fit3 = fit_growth_bounds(sd3)
-    assert fit3.ok
-    assert abs(fit3.M0 - 8.0 / 6.0) < 0.067
+def test_ball_volume_closed_forms():
+    # the growth constants of r = inf and r = 1, exact where the log
+    # domain leaves nothing to round (r = inf, d = 1)
+    for d in range(1, 9):
+        assert ball_volume(math.inf, d) == 2.0**d
+        assert ball_volume(1, d) == pytest.approx(2.0**d / math.factorial(d), rel=1e-12, abs=0)
+        for r in (0.5, 1.5, 2, 3, 1e-3):
+            assert ball_volume(r, 1) == 2.0
+    assert ball_volume(2, 2) == pytest.approx(math.pi, rel=1e-12, abs=0)
+    assert ball_volume(2, 3) == pytest.approx(4 * math.pi / 3, rel=1e-12, abs=0)
 
 
-def test_fit_bounds_bracket_counts():
-    # the fitted constants must actually bracket V_m on the fit range
-    for r, d in [(math.inf, 1), (math.inf, 2), (1, 2), (2, 2), (1, 3)]:
-        sd = shell_counts(r, d, 48)
-        fit = fit_growth_bounds(sd)
-        m = np.arange(2, sd.m_max + 1, dtype=np.float64)
-        V = sd.V[2:].astype(np.float64)
-        assert np.all(fit.M0 * (m - fit.c1) ** d < V)
-        assert np.all(V <= fit.M0 * (m + fit.c2) ** d)
+@pytest.mark.parametrize("r", [0.5, 1.5, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 7])
+def test_ball_volume_matches_mpmath(r, d):
+    with mpmath.workdps(40):
+        want = (2 * mpmath.gamma(1 + mpmath.mpf(1) / r)) ** d / mpmath.gamma(1 + mpmath.mpf(d) / r)
+        assert ball_volume(r, d) == pytest.approx(float(want), rel=1e-12, abs=0)
+
+
+def test_ball_volume_outside_the_float_range_is_typed():
+    assert ball_volume(0.002, 2) >= 2.2250738585072014e-308
+    for r, d in [(0.0018, 2), (1e-300, 2), (5e-324, 3), (1e-3, 1100)]:
+        with pytest.raises(OverflowError, match=re.escape(f"r={r}, d={d}")):
+            ball_volume(r, d)
+    with pytest.raises(OverflowError, match="r=inf, d=1100"):
+        ball_volume(math.inf, 1100)
+
+
+# largest radius per dimension of the bracket property's tables
+_BRACKET_M = {1: 400, 2: 60, 3: 14, 4: 6}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([0.5, 1, 1.5, 2, 3, math.inf]), st.integers(1, 4), st.integers(0, 400))
+@example(math.inf, 1, 48)
+@example(math.inf, 2, 48)
+@example(1, 2, 48)
+@example(2, 2, 48)
+@example(1, 3, 14)
+def test_shell_tables_lie_in_count_bracket(r, d, m):
+    # every V_m of the table between the proven volume bounds, no slack
+    V = shell_counts(r, d, min(m, _BRACKET_M[d]))
+    for k, v in enumerate(V.tolist()):
+        lo, hi = count_bracket(r, d, k)
+        assert lo <= v <= hi, (r, d, k, lo, v, hi)
+    if math.isinf(r):
+        # the top is V_m itself, one ulp up
+        assert [count_bracket(r, d, k)[1] for k in range(len(V))] == [
+            math.nextafter(v, math.inf) for v in V.tolist()]
+
+
+@pytest.mark.parametrize("r, m, error", [
+    (200, 100, OverflowError),         # 100^200 leaves the float range
+    (1e300, 5, OverflowError),
+    (1e-5, 200, FloatingPointError),   # (k^r)^(1/r) rounds axis points off their shells
+    (8e-5, 1000, FloatingPointError),
+    (1e-300, 5, FloatingPointError),   # every k^r rounds to 1
+])
+def test_extreme_r_raises_typed_error(r, m, error, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=re.escape(f"r={r}, d=2") + ".*radius"):
+            shell_counts(r, 2, m)
+        assert main(["shells", "--r", repr(r), "--d", "2", "--m-max", str(m)]) == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"]["type"] == error.__name__
+
+
+@pytest.mark.parametrize("r", [1e-4, 3e-5])
+def test_tiny_r_counts_only_the_axes(r):
+    # every off-axis point lies past radius 200 (its root overflows the
+    # float range, silently: that is its shell); the axes hold 1 + 4m
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert shell_counts(r, 2, 200).tolist() == (1 + 4 * np.arange(201)).tolist()
 
 
 def test_gauss_circle_octant_count_matches_integer_count():
@@ -224,14 +267,14 @@ def test_shells_output_bytes_golden(r, d, m_max, tmp_path):
     argv = ["shells", "--r", r, "--d", str(d), "--m-max", str(m_max),
             "--out", str(csv_path), "--json-out", str(json_path)]
     assert main(argv) == 0
-    sd = shell_counts(float(r), d, m_max)
-    nu, V = sd.nu.tolist(), sd.V.tolist()
+    counts = shell_counts(float(r), d, m_max)
+    nu, V = np.diff(counts, prepend=0).tolist(), counts.tolist()
     want_csv = "m,nu,V\n" + "".join(f"{m},{a},{b}\n" for m, (a, b) in enumerate(zip(nu, V)))
     assert csv_path.read_text() == want_csv
     metadata = {"budget": None, "command": "shells", "config": None, "d": d,
                 "json_out": str(json_path), "m_max": m_max, "out": str(csv_path),
                 "r": "inf" if r == "inf" else float(r)}
-    result = {"nu": nu, "V": V, "fit": asdict(fit_growth_bounds(sd))}
+    result = {"nu": nu, "V": V, "M0": ball_volume(float(r), d)}
     want_json = json.dumps({"metadata": metadata, "result": result}, sort_keys=True) + "\n"
     assert json_path.read_text() == want_json
 
@@ -259,8 +302,7 @@ def test_ball_counts_int64_limit(r, d):
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if _exact_count(r, d, mid) <= top else (lo, mid)
-    sd = shell_counts(r, d, lo)
-    assert sd.V.tolist() == [_exact_count(r, d, m) for m in range(lo + 1)]
+    assert shell_counts(r, d, lo).tolist() == [_exact_count(r, d, m) for m in range(lo + 1)]
     with pytest.raises(OverflowError, match=f"past radius {lo};"):
         shell_counts(r, d, lo + 1)
     with pytest.raises(OverflowError):
@@ -268,6 +310,6 @@ def test_ball_counts_int64_limit(r, d):
 
 
 def test_shell_table_length_budget():
-    assert shell_counts(math.inf, 1, 49, budget=50).m_max == 49
+    assert len(shell_counts(math.inf, 1, 49, budget=50)) == 50
     with pytest.raises(BudgetExceededError, match="needs 51 entries, budget is 50"):
         shell_counts(math.inf, 1, 50, budget=50)

@@ -192,6 +192,18 @@ def test_class_b_power_in_exp_out():
     assert rep_exp.unbounded_ratio
 
 
+def test_class_b_huge_s_keeps_a_constant_ratio():
+    # psi(t)/psi(2t) = 2^s for every t: its log is s ln 2 exactly, with no
+    # growth across the grid however large s is
+    rep = check_class_b(WeightFunction("power", s=1e300))
+    assert rep.log_min_ratio == rep.log_max_ratio == 1e300 * math.log(2.0)
+    assert rep.log_ratio_growth == 0.0
+    assert rep.in_class and not rep.unbounded_ratio
+    rep_exp = check_class_b(WeightFunction("exp", R=2.0))
+    assert rep_exp.unbounded_ratio and not rep_exp.in_class
+    assert rep_exp.log_ratio_growth == pytest.approx((1e6 - 1.0) * math.log(2.0), rel=1e-12)
+
+
 def test_decay_condition():
     psi = WeightFunction("power", s=2.0)
     rep = check_decay_condition(psi, 2.0, 1)      # alpha = 1/2 < s'/d = 2
