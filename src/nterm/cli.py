@@ -1,6 +1,6 @@
 """Command-line interface.
 
-One command per process.  Subcommands: shells, hfunc, en-class,
+One command per call.  Subcommands: shells, hfunc, en-class,
 greedy, lemma51, rates, check-psi.  Each command takes only the flags
 it reads, declared once in its ``_SUBCOMMANDS`` row, plus ``--out``,
 ``--json-out`` and ``--config``.  Tabular results go to stdout as CSV
@@ -18,11 +18,12 @@ JSON error record is written to stderr), 2 on parse or validation
 errors.  Output is deterministic: identical configurations produce
 byte-identical files.
 
-Only the parser of the subcommand named first in argv is built, so a
-call pays for one command's flags; its ``--help`` and value errors are
-the ones the full parser prints.  The full parser (:func:`build_parser`)
-serves the top-level help and the errors only it reports: no or an
-unknown command, and unrecognized arguments.
+Only the parser of the subcommand named first in argv is used; it is
+built on first use and reused, so a process pays for each command's
+flags once.  Its ``--help`` and value errors are the ones the full
+parser prints.  The full parser (:func:`build_parser`) serves the
+top-level help and the errors only it reports: no or an unknown
+command, and unrecognized arguments.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import dataclasses
 import functools
 import json
 import math
-import shutil
 import sys
 
 import numpy as np
@@ -123,13 +123,6 @@ _COMMON = (
 )
 
 
-def _formatter():
-    # argparse builds a formatter (which asks for the terminal size) on
-    # every add_argument call; one width per parser build keeps the
-    # wrapping and saves those queries
-    return functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
-
-
 def _with_flags(parser: argparse.ArgumentParser, flags) -> argparse.ArgumentParser:
     for names, kwargs in flags + _COMMON:
         parser.add_argument(*names, **kwargs)
@@ -138,22 +131,25 @@ def _with_flags(parser: argparse.ArgumentParser, flags) -> argparse.ArgumentPars
 
 def build_parser() -> argparse.ArgumentParser:
     """The full parser: the top level and every subcommand."""
-    fmt = _formatter()
     parser = argparse.ArgumentParser(
         prog="nterm",
         description="n-term approximation characteristics of weighted Fourier classes",
-        formatter_class=fmt,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_line, _, flags) in _SUBCOMMANDS.items():
-        _with_flags(sub.add_parser(name, formatter_class=fmt, help=help_line), flags)
+        _with_flags(sub.add_parser(name, help=help_line), flags)
     return parser
+
+
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """One subcommand's parser, built once per process (parsing leaves it unchanged)."""
+    return _with_flags(argparse.ArgumentParser(prog=f"nterm {name}"), _SUBCOMMANDS[name][3])
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
     if argv and argv[0] in _SUBCOMMANDS:
-        parser = argparse.ArgumentParser(prog=f"nterm {argv[0]}", formatter_class=_formatter())
-        args, extras = _with_flags(parser, _SUBCOMMANDS[argv[0]][3]).parse_known_args(argv[1:])
+        args, extras = _command_parser(argv[0]).parse_known_args(argv[1:])
         if not extras:
             args.command = argv[0]
             return args
@@ -334,7 +330,7 @@ def _cmd_rates(args) -> int:
         budget=args.budget,
     )
     k1, k2 = rates.ratio_window(table)
-    result = json.loads(table.to_json())
+    result = table.to_dict()
     result["ratio_window"] = {"K1": k1, "K2": k2}
     _emit(args, table.to_csv(), result)
     return 0

@@ -75,11 +75,12 @@ def quasi_norm(k, r) -> float:
 def shell_index(k, r) -> int:
     """Smallest integer m with |k|_r <= m, i.e. ceil of the quasi-norm.
 
-    Integer-exact for ``r in {1, 2, inf}``; other exponents snap values
-    within 1e-9 of an integer downward before taking the ceiling.
+    Integer-exact for ``r in {1, 2, inf}`` and for points with at most
+    one nonzero coordinate; other points snap values within 1e-9 of an
+    integer downward before taking the ceiling.
     """
     coords = [abs(int(c)) for c in k]
-    if math.isinf(r):
+    if math.isinf(r) or sum(map(bool, coords)) <= 1:  # an axis point: its coordinate, for every r
         return max(coords)
     if r == 1.0:
         return sum(coords)
@@ -114,7 +115,10 @@ def _power_bound(m: int, r: float) -> float:
     # ball boundary moved to the power domain (pow is monotone), so that
     # the ball is the points whose sum of |k_i|^r is at most this bound
     def inside(s: float) -> bool:
-        return math.ceil(s ** (1.0 / r) - _CEIL_SNAP) <= m
+        try:
+            return math.ceil(s ** (1.0 / r) - _CEIL_SNAP) <= m
+        except OverflowError:  # a root past the float range is past m
+            return False
 
     s = (m + _CEIL_SNAP) ** r
     while not inside(s):
@@ -129,23 +133,29 @@ def enumerate_ball(m: int, r, d: int, budget: int | None = None) -> list[tuple[i
 
     Membership is ``shell_index(k, r) <= m``, the rule the shell counts
     use, so the ball holds exactly ``V_m`` points.  It is decided for
-    the whole box at once: in integers for ``r in {1, 2, inf}``, and
-    otherwise by comparing the sum of ``|k_i|^r`` (the terms and
-    coordinate order of :func:`shell_index`) with the largest sum whose
-    snapped ceiling of the root is at most m, with about 9 bytes of
-    scratch per box point.
+    the whole box at once: in integers for ``r in {1, 2, inf}`` and at
+    d = 1, and otherwise by comparing the sum of ``|k_i|^r`` (the terms
+    and coordinate order of :func:`shell_index`) with the largest sum
+    whose snapped ceiling of the root is at most m, with about 9 bytes
+    of scratch per box point.
 
     Raises
     ------
     BudgetExceededError
         If the bounding box (2m+1)^d exceeds the point budget.
+    OverflowError, FloatingPointError
+        Where :func:`shell_counts` raises them for the same r, d and
+        radius: m^r leaves the float range, or float rounding moves an
+        axis point off its shell.
     ValueError
-        On m < 0 or d < 1.
+        On m < 0, d < 1 or r <= 0.
     """
     if m < 0:
         raise ValueError(f"radius must be nonnegative, got {m}")
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
+    if not math.isinf(r) and float(r) <= 0.0:
+        raise ValueError(f"radius exponent must be positive, got {r}")
     limit = point_budget(budget)
     if (2 * m + 1) ** d > limit:
         raise BudgetExceededError(
@@ -154,13 +164,12 @@ def enumerate_ball(m: int, r, d: int, budget: int | None = None) -> list[tuple[i
     # per-coordinate terms combined over the box by broadcasting, one
     # coordinate after the other, so the flat C order is lexicographic
     c = np.abs(np.arange(-m, m + 1, dtype=np.int64))
-    if math.isinf(r):
+    if math.isinf(r) or d == 1:  # at d = 1 the ball is {-m, ..., m} for every r
         terms, combine, bound = c, np.maximum, m
     elif r in (1.0, 2.0):
         terms, combine, bound = c ** int(r), np.add, m ** int(r)
     else:
-        rf = float(r)
-        terms, combine, bound = np.array([float(v) ** rf for v in c]), np.add, _power_bound(m, rf)
+        terms, combine, bound = _axis_powers(r, d, m)[0][c], np.add, _power_bound(m, float(r))
     total = terms
     for _ in range(1, d):
         total = combine.outer(total, terms)
@@ -274,6 +283,28 @@ def ball_counts(r, d: int, m) -> np.ndarray:
     raise ValueError(f"no closed-form ball count for r={r}, d={d}")
 
 
+def _axis_powers(r, d: int, m_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """k^r for k = 0..m_max by Python's float pow and by numpy's (which may
+    differ in the last bit), once float rounding is seen to leave every
+    axis point k on shell k under both: FloatingPointError when it does
+    not (r near 0), OverflowError when m_max^r leaves the float range."""
+    rf = float(r)
+    try:
+        first = np.array([k ** rf for k in range(m_max + 1)])
+    except OverflowError:
+        raise OverflowError(f"shell table for r={r}, d={d}: radius {m_max} raised to r "
+                            f"leaves the float range") from None
+    axis = np.arange(m_max + 1, dtype=np.int64)
+    powers = axis.astype(np.float64) ** rf
+    with np.errstate(over="ignore"):
+        for along in (first, powers):
+            off = np.flatnonzero(np.ceil(along ** (1.0 / rf) - _CEIL_SNAP) != axis)
+            if off.size:
+                raise FloatingPointError(f"shell table for r={r}, d={d}: float rounding moves "
+                                         f"the axis point at radius {off[0]} off its shell")
+    return first, powers
+
+
 def _counts_enumerated(r, d: int, m_max: int, budget: int | None) -> np.ndarray:
     limit = point_budget(budget)
     box = (2 * m_max + 1) ** d
@@ -282,22 +313,10 @@ def _counts_enumerated(r, d: int, m_max: int, budget: int | None) -> np.ndarray:
             f"shell histogram needs {box} candidate points, budget is {limit}"
         )
     rf = float(r)
-    # |k1|^r by Python's float pow, the others' by numpy's (which may
-    # differ in the last bit): the frozen per-point sums of these tables
-    try:
-        first = np.array([k1 ** rf for k1 in range(m_max + 1)])
-    except OverflowError:
-        raise OverflowError(f"shell table for r={r}, d={d}: radius {m_max} raised to r "
-                            f"leaves the float range") from None
+    # |k1|^r by Python's float pow, the others' by numpy's: the frozen
+    # per-point sums of these tables
+    first, powers = _axis_powers(r, d, m_max)
     axis = np.arange(m_max + 1, dtype=np.int64)
-    powers = axis.astype(np.float64) ** rf
-    # float rounding (r near 0) must leave every axis point k on shell k
-    with np.errstate(over="ignore"):
-        for along in (first, powers):
-            off = np.flatnonzero(np.ceil(along ** (1.0 / rf) - _CEIL_SNAP) != axis)
-            if off.size:
-                raise FloatingPointError(f"shell table for r={r}, d={d}: float rounding moves "
-                                         f"the axis point at radius {off[0]} off its shell")
     # the orthant [0, m_max]^d, each point weighted by its 2^(nonzero
     # coordinates) sign copies; per point |k1|^r plus the sum of the
     # other coordinates' powers, blocks of k1 rows at a time

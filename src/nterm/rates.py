@@ -27,7 +27,6 @@ output (no timestamps, fixed formatting).
 from __future__ import annotations
 
 import io
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -160,14 +159,15 @@ class RateTable:
             buf.write(f"{int(n)},{c:.17g},{pr:.17g},{ra:.17g}\n")
         return buf.getvalue()
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
+        """The table as ``{"metadata", "rows"}``, each row one n with its three values."""
         meta = dict(self.metadata)
         meta.update(quantity=self.quantity, theorem=self.theorem, flagged=self.flagged)
         rows = [
             {"n": int(n), "computed": c, "predicted": pr, "ratio": ra}
             for n, c, pr, ra in zip(self.n, self.computed, self.predicted, self.ratio)
         ]
-        return json.dumps({"metadata": meta, "rows": rows}, sort_keys=True)
+        return {"metadata": meta, "rows": rows}
 
 
 def ratio_window(table: RateTable) -> tuple[float, float]:

@@ -45,6 +45,16 @@ from .lattice import shell_counts
 _PARAMS = {"power": ("s",), "powerlog": ("s", "eps"), "log": ("eps",), "exp": ("R",), "const": ()}
 
 
+def _log_grid(start: float, num: int) -> np.ndarray:
+    grid = np.geomspace(start, 1e6, num)
+    grid.setflags(write=False)
+    return grid
+
+
+# the log grids of the hypothesis checks, built once per process
+_COARSE_GRID, _FINE_GRID, _CONVEX_GRID = _log_grid(1.0, 61), _log_grid(1.0, 241), _log_grid(1.5, 61)
+
+
 class ZeroDerivativeError(ValueError):
     """alpha(psi, t) is undefined because psi'(t) vanishes."""
 
@@ -212,7 +222,7 @@ def check_class_b(psi: WeightFunction) -> ClassBReport:
     has dropped below 1e-6 (OverflowError if its log leaves the float
     range).
     """
-    grid = np.geomspace(1.0, 1e6, 61)
+    grid = _COARSE_GRID
     # log ratios, term by term from the one formula: psi may underflow
     # (exp family), its ratios overflow, and a huge s adds exactly s ln 2
     log_ratios = (psi.s * math.log(2.0) + grid * math.log(psi.R)
@@ -272,9 +282,8 @@ def check_decay_condition(psi: WeightFunction, s: float, d: int) -> DecayReport:
     else:
         s_prime = math.inf
         bound = math.inf
-    grid = np.geomspace(1.0, 1e6, 241)
     try:
-        a = np.asarray(alpha(psi, grid))
+        a = np.asarray(alpha(psi, _FINE_GRID))
     except ZeroDerivativeError:
         return DecayReport(
             s=s, s_prime=s_prime, d=d, alpha_sup=math.inf, inv_alpha_inf=0.0,
@@ -289,13 +298,13 @@ def check_decay_condition(psi: WeightFunction, s: float, d: int) -> DecayReport:
 
 def convexity_evidence(psi: WeightFunction) -> bool:
     """Discrete convexity check psi(t-h) + psi(t+h) >= 2 psi(t), h = 1/2, on a log grid."""
-    grid = np.geomspace(1.5, 1e6, 61)
+    grid = _CONVEX_GRID
     return bool(np.all(psi(grid - 0.5) + psi(grid + 0.5) >= 2.0 * psi(grid) * (1.0 - 1e-12)))
 
 
 def decreasing_evidence(psi: WeightFunction) -> bool:
     """True when psi is nonincreasing along a log grid t in [1, 1e6]."""
-    vals = psi(np.geomspace(1.0, 1e6, 241))
+    vals = psi(_FINE_GRID)
     return bool(np.all(np.diff(vals) <= 1e-15 * vals[:-1]))
 
 

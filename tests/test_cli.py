@@ -537,26 +537,39 @@ def test_en_class_row_independent_of_the_grid(r, capsys):
     assert alone.startswith("37,") and rows[1] == alone
 
 
-def test_parser_queries_terminal_size_once(monkeypatch, capsys):
-    import shutil
+def test_command_parser_built_once_per_process(monkeypatch, capsys):
+    import argparse
 
-    from nterm.cli import build_parser
+    from nterm import cli
 
-    calls = []
-    original = shutil.get_terminal_size
+    built = []
+    original = argparse.ArgumentParser.__init__
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
 
-    monkeypatch.setattr(shutil, "get_terminal_size", counted)
-    build_parser()
-    assert len(calls) == 1
-    monkeypatch.setenv("COLUMNS", "60")
-    assert main(["hfunc", "--help"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert max(len(line) for line in lines) <= 58
-    assert any(len(line) > 50 for line in lines)
+    cli._command_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    argv = ["hfunc", "--psi", "power:s=2", "--n", "4", "--s", "0.5"]
+    assert main(argv) == 0 and main(argv) == 0
+    assert built == ["nterm hfunc"]
+    monkeypatch.undo()
+    capsys.readouterr()
+    # help wraps to the terminal it is printed on, whatever width the
+    # parser was built under: first on a fresh parser, then on one built
+    # under COLUMNS=100
+    cli._command_parser.cache_clear()
+    for build_columns in (None, "100"):
+        if build_columns:
+            monkeypatch.setenv("COLUMNS", build_columns)
+            assert main(argv) == 0
+            capsys.readouterr()
+        monkeypatch.setenv("COLUMNS", "60")
+        assert main(["hfunc", "--help"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert max(len(line) for line in lines) <= 58
+        assert any(len(line) > 50 for line in lines)
 
 
 _VALID_ARGV = [
@@ -598,6 +611,23 @@ def test_namespace_matches_full_parser(argv, tmp_path):
     cfg.write_text(json.dumps(dict(zip(keys, argv[2::2]))))
     args = _apply_config([argv[0], "--config", str(cfg)])
     assert vars(args) == vars(build_parser().parse_args(argv + ["--config", str(cfg)]))
+
+
+@pytest.mark.parametrize("argv", _VALID_ARGV, ids=lambda argv: argv[0])
+def test_reused_parser_parses_like_the_full_parser(argv, tmp_path, monkeypatch, capsys):
+    from nterm.cli import _apply_config, build_parser
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.json").write_text(coeffs(1, {(0,): 3.0, (2,): -4.0}).to_json())
+    keys = ["infile" if flag == "--in" else flag[2:] for flag in argv[1::2]]
+    (tmp_path / "cfg.json").write_text(json.dumps(dict(zip(keys, argv[2::2]))))
+    # an exit-2 call, a help call and a config call leave the parser as built
+    assert main([argv[0], "--tol", "x"]) == 2
+    assert main([argv[0], "--help"]) == 0
+    assert main([argv[0], "--config", "cfg.json"]) == 0
+    capsys.readouterr()
+    for _ in range(2):
+        assert vars(_apply_config(argv)) == vars(build_parser().parse_args(argv))
 
 
 def test_valid_argv_never_builds_the_full_parser(monkeypatch, capsys):

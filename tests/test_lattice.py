@@ -216,6 +216,56 @@ def test_extreme_r_raises_typed_error(r, m, error, capsys):
     assert record["error"]["type"] == error.__name__
 
 
+def _outcome(f):
+    # a value, or the type and message of a float-range error; warnings are errors
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return f()
+        except (OverflowError, FloatingPointError) as exc:
+            return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(-24.0, 8.0), st.integers(1, 3), st.integers(0, 12))
+@example(math.log2(1e-5), 1, 100)      # axis points rounded out of the ball at d = 1
+@example(math.log2(1e-5), 2, 200)      # the tables raise, the ball did not
+@example(math.log2(8e-5), 2, 1000)
+@example(-996.0, 1, 5)                 # r = 2^-996: k^r rounds to 1, roots overflow
+@example(-996.0, 2, 5)
+@example(-996.0, 3, 5)
+@example(-996.0, 2, 1)
+@example(math.log2(200.0), 2, 100)     # 100^200 leaves the float range
+def test_ball_is_the_counted_ball_or_both_raise(log2_r, d, m):
+    r = 2.0**log2_r
+    ball = _outcome(lambda: len(enumerate_ball(m, r, d)))
+    table = _outcome(lambda: int(shell_counts(r, d, m)[m]))
+    assert ball == table
+    if isinstance(table, tuple):
+        assert f"r={r}, d={d}" in table[1] and "radius" in table[1]
+
+
+def test_ball_at_r_near_zero():
+    # every r holds the 2m + 1 points of d = 1; at d >= 2 float rounding
+    # moves the axes, and the ball raises the tables' error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert len(enumerate_ball(100, 1e-5, 1)) == 201
+        assert len(enumerate_ball(5, 1e-300, 1)) == 11
+        for m, r, d in [(200, 1e-5, 2), (1000, 8e-5, 2), (5, 1e-300, 2), (5, 1e-300, 3)]:
+            with pytest.raises(FloatingPointError, match=re.escape(f"r={r}, d={d}") + ".*radius"):
+                enumerate_ball(m, r, d)
+
+
+def test_shell_index_of_an_axis_point_is_its_coordinate():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert shell_index((100, 0), 1e-5) == 100
+        for r in (1e-300, 1e-5, 0.5, 3.0, 200.0, 1e300):
+            for k in ((0, -7, 0), (100,), (0, 0), (-1, 0)):
+                assert shell_index(k, r) == max(abs(c) for c in k)
+
+
 @pytest.mark.parametrize("r", [1e-4, 3e-5])
 def test_tiny_r_counts_only_the_axes(r):
     # every off-axis point lies past radius 200 (its root overflows the

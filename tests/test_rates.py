@@ -1,4 +1,3 @@
-import json
 import math
 from collections import Counter
 
@@ -134,7 +133,7 @@ def test_rate_table_determinism():
     a = rate_table("class_sp", [4, 8, 16, 32], P2, 1, q=1.0, p=2.0)
     b = rate_table("class_sp", [4, 8, 16, 32], P2, 1, q=1.0, p=2.0)
     assert a.to_csv() == b.to_csv()
-    assert a.to_json() == b.to_json()
+    assert a.to_dict() == b.to_dict()
 
 
 def test_rate_table_one_stream_per_grid(stream_count):
@@ -169,7 +168,7 @@ def test_csv_and_json_formats():
     assert float(comp) == t.computed[0]
     assert float(pred) == t.predicted[0]
     assert float(ratio) == t.ratio[0]
-    doc = json.loads(t.to_json())
+    doc = t.to_dict()
     assert doc["metadata"]["quantity"] == "class_sp"
     assert doc["metadata"]["theorem"] == "assertion41"
     assert doc["metadata"]["flagged"] is False
